@@ -244,8 +244,6 @@ def _cmd_decompose(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=None, help="coefficient table cache directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; current backends are single-process")
     common.add_argument("--json", action="store_true", help="machine-readable JSON output")
 
     parser = argparse.ArgumentParser(prog="nb", description=__doc__)

@@ -12,6 +12,10 @@ each other so they can cross-check:
 All stored coefficients are exact integers.  The series multiplication
 runs over int64 residues modulo one or more ~49-bit primes and is
 reconstructed exactly afterwards; no floating point is involved anywhere.
+
+Every table stores its values in one ndarray whose dtype the descriptor
+decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
+Python ints) otherwise.
 """
 
 from __future__ import annotations
@@ -96,10 +100,14 @@ def builtin_descriptor(name: str) -> NewformDescriptor:
 class CoeffTable:
     """Immutable table of coefficients a(1..n_max) for one newform.
 
-    Values are exact ints.  Construction happens in the factory functions;
-    instances are safe to share across threads.  ``value_at`` additionally
-    evaluates indices beyond n_max whenever their prime factors stay inside
-    the table, via multiplicativity and the prime-power recursion.
+    Values are exact ints, stored in one ndarray: int64 when the coefficient
+    bound |a(n)| <= d(n) n^((2k-1)/2) <= 2 n^k stays below 2^63 for every
+    n <= n_max, object (Python ints) otherwise.  A value that does not fit
+    the chosen dtype raises IntegrityError.  Construction happens in the
+    factory functions; instances are safe to share across threads.
+    ``value_at`` additionally evaluates indices beyond n_max whenever their
+    prime factors stay inside the table, via multiplicativity and the
+    prime-power recursion.
     """
 
     def __init__(self, descriptor: NewformDescriptor, n_max: int, values: Sequence[int]):
@@ -107,6 +115,15 @@ class CoeffTable:
             raise ValueError("n_max must be >= 1")
         if len(values) != n_max:
             raise ValueError(f"expected {n_max} values, got {len(values)}")
+        bound = 2 * n_max**descriptor.k
+        dtype = np.int64 if bound < 2**63 else object
+        try:
+            values = np.asarray(values, dtype=dtype)
+        except OverflowError:
+            raise IntegrityError(
+                f"a value does not fit int64, the storage selected by the coefficient "
+                f"bound 2 * n_max^k = {bound} < 2^63; corrupt data"
+            ) from None
         self.descriptor = descriptor
         self.n_max = n_max
         self._values = values
@@ -135,10 +152,6 @@ class CoeffTable:
         if not 1 <= n <= self.n_max:
             raise TableTooSmallError(f"index {n} outside table range 1..{self.n_max}")
         return int(self._values[n - 1])
-
-    def ap(self, p: int) -> int:
-        """Prime-indexed fast path (no primality check)."""
-        return self.a(p)
 
     def primes(self) -> list[int]:
         """All primes <= n_max, ascending (cached)."""
@@ -203,30 +216,16 @@ class CoeffTable:
 
     def max_positive(self) -> int:
         """Largest positive coefficient value in the table."""
-        if isinstance(self._values, np.ndarray):
-            return int(self._values.max())
-        return max(self._values)
+        return int(self._values.max())
 
     def positive_records(self) -> tuple[list[int], list[int]]:
         """Strictly increasing running maxima of a(n) with their indices (cached)."""
         if self._records is None:
-            values: list[int] = []
-            indices: list[int] = []
-            if isinstance(self._values, np.ndarray):
-                racc = np.maximum.accumulate(self._values)
-                pos = np.flatnonzero(self._values == racc)
-                pv = self._values[pos]
-                keep = np.concatenate(([True], pv[1:] > pv[:-1]))
-                values = [int(v) for v in pv[keep]]
-                indices = [int(i) + 1 for i in pos[keep]]
-            else:
-                best = None
-                for i, v in enumerate(self._values):
-                    if best is None or v > best:
-                        best = v
-                        values.append(v)
-                        indices.append(i + 1)
-            self._records = (values, indices)
+            racc = np.maximum.accumulate(self._values)
+            pos = np.flatnonzero(self._values == racc)
+            pv = self._values[pos]
+            keep = np.concatenate(([True], pv[1:] > pv[:-1]))
+            self._records = ([int(v) for v in pv[keep]], [int(i) + 1 for i in pos[keep]])
         return self._records
 
 
@@ -285,31 +284,26 @@ def _expand_residues(factors, n_max: int, m: int) -> np.ndarray:
     return cur
 
 
-def _crt_values(residue_rows: list[np.ndarray], moduli: list[int]) -> Sequence[int]:
-    """Exact signed values from residues (symmetric lift)."""
-    if len(moduli) == 1:
-        m = moduli[0]
-        vals = residue_rows[0]
-        return np.where(vals > m >> 1, vals - m, vals)
-    # Garner mixed-radix combination, per element, in exact big-int arithmetic
-    prods = [1]
-    for m in moduli[:-1]:
-        prods.append(prods[-1] * m)
-    total = prods[-1] * moduli[-1]
-    half = total >> 1
-    invs = [pow(prods[i] % moduli[i], -1, moduli[i]) for i in range(1, len(moduli))]
-    rows = [row.tolist() for row in residue_rows]
-    out = []
-    for j in range(len(rows[0])):
-        x = rows[0][j]
-        for i in range(1, len(moduli)):
-            mi = moduli[i]
-            t = ((rows[i][j] - x) * invs[i - 1]) % mi
-            x += prods[i] * t
-        if x > half:
-            x -= total
-        out.append(x)
-    return out
+def _crt_values(residue_rows: list[np.ndarray], moduli: list[int]) -> np.ndarray:
+    """Exact signed values from residues: column-wise Garner lift, then the symmetric lift.
+
+    Each mixed-radix digit multiplies two ~49-bit residues, so the lift runs
+    on object columns (exact Python ints) once a second modulus enters.  The
+    steps work in place, so at most two object columns are alive at a time.
+    """
+    x = residue_rows[0]
+    radix = moduli[0]
+    for row, m in zip(residue_rows[1:], moduli[1:]):
+        digit = row.astype(object)
+        digit -= x
+        digit *= pow(radix % m, -1, m)
+        digit %= m
+        digit *= radix
+        digit += x
+        x = digit
+        radix *= m
+    x[x > radix >> 1] -= radix
+    return x
 
 
 def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:

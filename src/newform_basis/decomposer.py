@@ -28,12 +28,21 @@ from .admissible import AdmissibleSet, RepairWitness, greedy_maximal, repair
 from .coefficients import CoeffTable
 from .errors import InfeasibleError, TableTooSmallError, VerificationError
 from .signs import first_negative, prime_sets
-from .waring_goldbach import DEFAULT_NODE_BUDGET, find_solution, hua_constants
+from .waring_goldbach import find_solution, hua_constants
 
 ROUTE_CONSTRUCTIVE = "constructive"
 ROUTE_SEARCH = "search"
 
 SEARCH_ELL_DEFAULT = 74000  # historical worst-case summand count for the motivating form
+
+# Constructive route: the first solve only uses pool primes whose repair
+# partner is at most PARTNER_CAP, keeping decomposition indices cheap to
+# factor during verification; the cap grows eightfold on each miss.
+PARTNER_CAP = 10_000
+# Search route: at most CANDIDATE_CAP half-sum splits are reconstructed per
+# depth, and targets with |Z| <= BAND_LIMIT share one precomputed band of splits.
+CANDIDATE_CAP = 16
+BAND_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -137,30 +146,31 @@ def verify_decomposition(d: Decomposition, table: CoeffTable) -> VerifyReport:
     return VerifyReport(ok, delta, d.ell, d.bound, max_index, ratio)
 
 
+def _verified(d: Decomposition, table: CoeffTable) -> Decomposition:
+    """The one exit of both routes: d, once it re-sums exactly and ell <= bound."""
+    report = verify_decomposition(d, table)
+    if not report.ok:
+        raise VerificationError(
+            f"{d.route} route result for Z={d.Z} re-sums off by {report.delta} "
+            f"with ell={report.ell} against bound {report.bound}"
+        )
+    return d
+
+
 class ConstructivePipeline:
-    """Reusable constructive decomposer for one table and parameter set.
+    """Reusable constructive decomposer for one table and summand count.
 
-    Builds the candidate primes, the maximal admissible set S, and the
-    solver pool once; ``decompose`` then handles any number of targets.
+    Builds the candidate primes (every prime of the table), the maximal
+    admissible set S, and the solver pool once; ``decompose`` then handles
+    any number of targets.
 
-    Parameters: M bounds the candidate primes (default: the whole table);
     s is the summand count for the prime-power equation (default: the
     sufficient count s0 for exponent 2k-1; any s >= 2 is allowed and is
-    recorded on the output); T is the small-target threshold (default: a
-    quarter of the largest positive coefficient); partner_cap prefers pool
-    primes whose repair partner is small, keeping decomposition indices
-    cheap to factor during verification.
+    recorded on the output).  Targets at or below the threshold T, a
+    quarter of the largest positive coefficient, are shifted up first.
     """
 
-    def __init__(
-        self,
-        table: CoeffTable,
-        M: int | None = None,
-        s: int | None = None,
-        T: int | None = None,
-        partner_cap: int = 10_000,
-        node_budget: int = DEFAULT_NODE_BUDGET,
-    ):
+    def __init__(self, table: CoeffTable, s: int | None = None):
         self.table = table
         self.k = table.k
         self.e = table.weight - 1
@@ -173,18 +183,11 @@ class ConstructivePipeline:
         sign = first_negative(table)
         self.n_f = sign.n_f
         self.C0 = -table.a(self.n_f)
-        self.M = table.n_max if M is None else M
-        if self.M > table.n_max:
-            raise TableTooSmallError(f"M={self.M} exceeds table bound {table.n_max}")
-        candidates, _ = prime_sets(table, self.M)
+        candidates, _ = prime_sets(table, table.n_max)
         self.S = greedy_maximal(candidates, self.k, table)
         members = set(self.S.primes)
         self.pool = [p for p in candidates if p not in members]
-        if T is None:
-            T = table.max_positive() // 4
-        self.T = T
-        self.node_budget = node_budget
-        self.partner_cap = partner_cap
+        self.T = table.max_positive() // 4
         self._expansions: dict[int, PrimePowerExpansion] = {}
         if self.k == 1:
             first_with_value: dict[int, int] = {}
@@ -220,21 +223,19 @@ class ConstructivePipeline:
         if W == 0:
             return counts
         solution = None
-        cap = self.partner_cap if self._partner is not None else None
+        cap = PARTNER_CAP if self._partner is not None else None
         while True:
             pool = self._pool_with_cap(cap)
             if pool:
-                solution = find_solution(
-                    abs(W), self.s, self.e, allowed=pool, node_budget=self.node_budget
-                )
+                solution = find_solution(abs(W), self.s, self.e, allowed=pool)
             if solution is not None:
                 break
             if cap is None:
                 raise InfeasibleError(
                     f"no {self.s}-term prime-power solution for {abs(W)} over the "
-                    "candidate pool; raise M or the node budget"
+                    f"candidate pool of the table to n_max={self.table.n_max}"
                 )
-            cap = None if cap * 8 >= self.M else cap * 8
+            cap = None if cap * 8 >= self.table.n_max else cap * 8
         negate = W < 0
         for q, mult in sorted(Counter(solution.primes).items()):
             exp = self._expand(q)
@@ -256,7 +257,8 @@ class ConstructivePipeline:
         range where the candidate pool is dense.
         """
         if Z == 0:
-            return Decomposition(0, (), ROUTE_CONSTRUCTIVE, self._run_bound(0), self.s, 0)
+            d = Decomposition(0, (), ROUTE_CONSTRUCTIVE, self._run_bound(0), self.s)
+            return _verified(d, self.table)
         shift_indices: list[int] = []
         cur = Z
 
@@ -268,8 +270,8 @@ class ConstructivePipeline:
                 n_prime = self._shift_index(2 * abs(cur))
             except TableTooSmallError:
                 raise InfeasibleError(
-                    f"stuck {reason}: no coefficient exceeds {2 * abs(cur)}; "
-                    "raise M, T, or the table size"
+                    f"stuck {reason}: no coefficient exceeds {2 * abs(cur)} "
+                    f"in the table to n_max={self.table.n_max}; extend the table"
                 ) from None
             shift_indices.append(n_prime)
             cur -= self.table.a(n_prime)
@@ -299,25 +301,16 @@ class ConstructivePipeline:
             self.s,
             len(shift_indices),
         )
-        report = verify_decomposition(d, self.table)
-        if report.delta != 0:
-            raise VerificationError(f"constructive route re-sums off by {report.delta}")
-        return d
+        return _verified(d, self.table)
 
     def _run_bound(self, shifts: int) -> int:
         # equals the closed-form summand bound when s = s0 and shifts <= 1
         return (self.C0 + 1) * self.k * self.s + 3 * self.C0 + 1 + max(0, shifts - 1)
 
 
-def decompose_constructive(
-    table: CoeffTable,
-    Z: int,
-    M: int | None = None,
-    s: int | None = None,
-    T: int | None = None,
-) -> Decomposition:
+def decompose_constructive(table: CoeffTable, Z: int, s: int | None = None) -> Decomposition:
     """One-shot constructive decomposition (build a ConstructivePipeline to reuse setup)."""
-    return ConstructivePipeline(table, M=M, s=s, T=T).decompose(Z)
+    return ConstructivePipeline(table, s=s).decompose(Z)
 
 
 def _multiset_sums(vals: np.ndarray, h: int) -> np.ndarray:
@@ -342,18 +335,11 @@ class SearchDecomposer:
     MAX_MEET_DEPTH = 8
 
     def __init__(
-        self,
-        table: CoeffTable,
-        n_max: int | None = None,
-        half_sum_budget: int = 6_000_000,
-        candidate_cap: int = 16,
-        band_limit: int = 128,
+        self, table: CoeffTable, n_max: int | None = None, half_sum_budget: int = 6_000_000
     ):
         self.table = table
         self.n_max = table.n_max if n_max is None else min(n_max, table.n_max)
         self.budget = half_sum_budget
-        self.candidate_cap = candidate_cap
-        self.band_limit = band_limit
         self.values = [table.a(n) for n in range(1, self.n_max + 1)]
         self._value_first_index: dict[int, int] = {}
         self._value_indices: dict[int, list[int]] = {}
@@ -425,10 +411,10 @@ class SearchDecomposer:
             carr = np.array([c for _, c in pairs], dtype=np.int64)
             pos = np.searchsorted(sums2, carr)
             ok = (pos < len(sums2)) & (sums2[np.minimum(pos, len(sums2) - 1)] == carr)
-            for j in np.flatnonzero(ok)[: self.candidate_cap]:
+            for j in np.flatnonzero(ok)[:CANDIDATE_CAP]:
                 out.append(pairs[int(j)])
             return out
-        if abs(Z) <= self.band_limit:
+        if abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
         sums1, _ = self._half_table(h1)
         if not len(sums1) or abs(Z) >= 1 << 61:
@@ -440,12 +426,12 @@ class SearchDecomposer:
         cin = comps[inside]
         pos = np.searchsorted(sums2, cin)
         ok = (pos < len(sums2)) & (sums2[np.minimum(pos, len(sums2) - 1)] == cin)
-        for j in np.flatnonzero(ok)[: self.candidate_cap]:
+        for j in np.flatnonzero(ok)[:CANDIDATE_CAP]:
             out.append((Z - int(cin[j]), int(cin[j])))
         return out
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
-        """All (s1, s2) splits with |s1 + s2| <= band_limit, grouped by total.
+        """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
         Built once per half-depth combination with two vectorized range
         queries per chunk; amortizes meets over many small targets.
@@ -455,7 +441,7 @@ class SearchDecomposer:
             return cached
         sums1, _ = self._half_table(h1)
         sums2, _ = self._half_table(h2)
-        band = self.band_limit
+        band = BAND_LIMIT
         table: dict[int, list[tuple[int, int]]] = {}
         chunk = 2_000_000
         for st in range(0, len(sums1), chunk):
@@ -467,7 +453,7 @@ class SearchDecomposer:
                 for u in sums2[lo[j]:hi[j]]:
                     s2 = int(u)
                     bucket = table.setdefault(s1 + s2, [])
-                    if len(bucket) < self.candidate_cap:
+                    if len(bucket) < CANDIDATE_CAP:
                         bucket.append((s1, s2))
         self._band_cache[(h1, h2)] = table
         return table
@@ -491,6 +477,10 @@ class SearchDecomposer:
 
     def decompose(self, Z: int, ell_max: int = SEARCH_ELL_DEFAULT) -> Decomposition | None:
         """Shortest-found multiset representation with at most ell_max terms."""
+        d = self._search(Z, ell_max)
+        return None if d is None else _verified(d, self.table)
+
+    def _search(self, Z: int, ell_max: int) -> Decomposition | None:
         if Z == 0:
             return Decomposition(0, (), ROUTE_SEARCH, ell_max)
         if ell_max >= 1:
@@ -512,11 +502,7 @@ class SearchDecomposer:
                     best = combined
             if best is not None:
                 terms = tuple(sorted(Counter(best).items()))
-                d = Decomposition(Z, terms, ROUTE_SEARCH, ell_max)
-                report = verify_decomposition(d, self.table)
-                if report.delta != 0:
-                    raise VerificationError(f"search route re-sums off by {report.delta}")
-                return d
+                return Decomposition(Z, terms, ROUTE_SEARCH, ell_max)
         return self._baseline(Z, ell_max)
 
 

@@ -158,6 +158,9 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--form", "delta", "--nmax", "10", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

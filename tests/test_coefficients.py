@@ -1,5 +1,6 @@
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,12 @@ from newform_basis import (
     load_newform,
     save_prime_table,
 )
+
+
+@pytest.fixture(scope="module")
+def delta_1300():
+    # 2 * 1300^6 >= 2^63, so this weight-12 table stores exact Python ints
+    return expand_eta_product(DELTA, 1300)
 
 
 class TestDescriptor:
@@ -149,8 +156,10 @@ def test_multiplicativity_property(delta_1k, m, n):
 
 
 class TestCheckIdentities:
-    def test_clean_tables(self, delta_1k, f11a_1k):
-        for table in (delta_1k, f11a_1k):
+    def test_clean_tables(self, delta_1k, f11a_1k, delta_1300):
+        by_hand = CoeffTable(DELTA, 1300, [delta_1300.a(n) for n in range(1, 1301)])
+        assert by_hand._values.dtype == object
+        for table in (delta_1k, f11a_1k, by_hand):
             report = check_identities(table)
             assert report.ok, report.summary()
 
@@ -167,6 +176,46 @@ class TestCheckIdentities:
         bad = CoeffTable(DELTA, 10, values)
         report = check_identities(bad)
         assert (2, 100) in report.deligne_violations
+
+
+def _running_maximum_records(values):
+    """Reference for positive_records: the pure-Python running-maximum loop."""
+    records, indices = [], []
+    best = None
+    for i, v in enumerate(values):
+        if best is None or v > best:
+            best = v
+            records.append(v)
+            indices.append(i + 1)
+    return records, indices
+
+
+class TestStorage:
+    def test_dtype_follows_the_coefficient_bound(self, delta_1k, f11a_1k, delta_1300):
+        # 2 * 1290^6 < 2^63 <= 2 * 1291^6
+        assert expand_eta_product(DELTA, 1290)._values.dtype == np.int64
+        assert expand_eta_product(DELTA, 1291)._values.dtype == object
+        assert delta_1300.truncate(1290)._values.dtype == np.int64
+        ap = {p: delta_1300.a(p) for p in delta_1300.primes()}
+        assert hecke_extend(DELTA, ap, 1300)._values.dtype == object
+        for table in (delta_1k, f11a_1k, hecke_extend(DELTA, ap, 1000)):
+            assert table._values.dtype == np.int64
+
+    def test_records_match_running_maximum_loop(self, delta_1k, f11a_1k, delta_1300):
+        for table in (delta_1k, f11a_1k, delta_1300):
+            values = [table.a(n) for n in range(1, table.n_max + 1)]
+            records, indices = table.positive_records()
+            assert (records, indices) == _running_maximum_records(values)
+            assert all(type(v) is int for v in records + indices)
+            assert table.max_positive() == records[-1] == max(values)
+
+    def test_value_beyond_int64_rejected(self):
+        values = [1, -24, 252, 2**63]
+        with pytest.raises(IntegrityError, match="int64"):
+            CoeffTable(DELTA, 4, values)
+        values[3] = -(2**70)
+        with pytest.raises(IntegrityError, match="int64"):
+            CoeffTable(DELTA, 4, values)
 
 
 class TestDescriptorFiles:

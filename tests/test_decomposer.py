@@ -6,6 +6,7 @@ from newform_basis import (
     ConstructivePipeline,
     Decomposition,
     SearchDecomposer,
+    VerificationError,
     cf_bound,
     decompose_constructive,
     decompose_search,
@@ -196,6 +197,13 @@ class TestSearch:
         a = delta_searcher.decompose(229)
         b = delta_searcher.decompose(229)
         assert a == b
+
+    def test_single_value_hit_is_verified(self, delta_1k):
+        # a wrong index from the value lookup must not leave the route unverified
+        sd = SearchDecomposer(delta_1k, n_max=50)
+        sd._value_first_index[252] = 4  # a(4) = -1472, not 252
+        with pytest.raises(VerificationError):
+            sd.decompose(252)
 
     def test_baseline_fallback_works(self, delta_1k):
         # a searcher with no meet tables still produces the padding fallback
