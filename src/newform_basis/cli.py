@@ -1,8 +1,9 @@
 """Command-line entry point ``nb``.
 
 Subcommands: coeffs, signs, admissible, wg, decompose.  Exit codes: 0 on
-success, 1 on domain errors (not found, infeasible, bad data), 2 on usage
-errors.  Output is deterministic for fixed flags and cache state.
+success, 1 on domain errors (not found, infeasible, bad data, unreadable
+files), 2 on usage errors.  Output is deterministic for fixed flags and cache
+state.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NewformBasisError as exc:
+    except (NewformBasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -17,7 +17,7 @@ leaves this module.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, gcd
@@ -324,12 +324,21 @@ def _multiset_sums(vals: np.ndarray, h: int) -> np.ndarray:
 class SearchDecomposer:
     """Iterative-deepening meet-in-the-middle over multisets of coefficient values.
 
-    Half-sum tables are built once per half-depth over an index pool sized to
-    the half-sum budget (and to int64 headroom) and cached, so one instance
-    amortizes across many targets.  Ties break to the lexicographically
-    smallest index list among the located candidates; a miss within the depth
-    ceiling falls back to the exact a(1) / a(n_f) padding construction, and
-    only budget exhaustion yields None (never a claim of impossibility).
+    The h-sum table over a pool size K holds the distinct values of
+    a(i_1) + ... + a(i_h) over 1 <= i_1 <= ... <= i_h <= K, ascending, in
+    int64.  Depth ell = h1 + h2 meets the h1- and h2-sum tables, each over the
+    pool sized for its half to the half-sum budget and to int64 headroom;
+    at ell = 2, 3 the first half is instead every a(n), n <= n_max, as an
+    exact int.  Tables are cached by (h, K), so one instance amortizes across
+    many targets.
+
+    Ties break to the lexicographically smallest index list among the first
+    CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
+    |Z| <= BAND_LIMIT are precomputed once), each half's index tuple rebuilt
+    from the tables by the smallest-first-index descent of ``_lexmin``.  A
+    miss within the depth ceiling falls back to the exact a(1) / a(n_f)
+    padding construction, and only budget exhaustion yields None (never a
+    claim of impossibility).
     """
 
     MAX_MEET_DEPTH = 8
@@ -340,95 +349,80 @@ class SearchDecomposer:
         self.table = table
         self.n_max = table.n_max if n_max is None else min(n_max, table.n_max)
         self.budget = half_sum_budget
-        self.values = [table.a(n) for n in range(1, self.n_max + 1)]
+        self.values = np.array([table.a(n) for n in range(1, self.n_max + 1)], dtype=object)
         self._value_first_index: dict[int, int] = {}
-        self._value_indices: dict[int, list[int]] = {}
         for i, v in enumerate(self.values, start=1):
             self._value_first_index.setdefault(v, i)
-            self._value_indices.setdefault(v, []).append(i)
-        self._prefix_abs_max: list[int] = []
-        best = 0
-        for v in self.values:
-            best = max(best, abs(v))
-            self._prefix_abs_max.append(best)
-        self._tables: dict[int, tuple[np.ndarray, int]] = {}
+        self._prefix_abs_max = np.maximum.accumulate(np.abs(self.values))
+        # every index pool stops before |a(n)| passes 2^61, so its values fit int64
+        headroom = int(np.searchsorted(self._prefix_abs_max, 1 << 61, side="right"))
+        self._ints = self.values[:headroom].astype(np.int64)
+        self._pools: dict[int, int] = {}
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._band_cache: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
-    def _pool_size(self, h: int) -> int:
-        K = min(self.n_max, int((self.budget * factorial(h)) ** (1.0 / h)) + 2)
-        while K > 1 and comb(K + h - 1, h) > self.budget:
-            K -= 1
-        limit = (1 << 61) // h
-        while K > 1 and self._prefix_abs_max[K - 1] > limit:
-            K -= 1
+    def _pool(self, h: int) -> int:
+        """Pool size K for h-sum tables: C(K+h-1, h) <= budget and h*|a(n)| <= 2^61."""
+        K = self._pools.get(h)
+        if K is None:
+            K = min(self.n_max, int((self.budget * factorial(h)) ** (1.0 / h)) + 2)
+            while K > 1 and comb(K + h - 1, h) > self.budget:
+                K -= 1
+            limit = (1 << 61) // h
+            K = min(K, int(np.searchsorted(self._prefix_abs_max, limit, side="right")))
+            self._pools[h] = K
         return K
 
-    def _half_table(self, h: int) -> tuple[np.ndarray, int]:
-        cached = self._tables.get(h)
-        if cached is None:
-            K = self._pool_size(h)
-            vals = np.array(self.values[:K], dtype=np.int64)
-            sums = np.sort(_multiset_sums(vals, h)) if K else np.zeros(0, dtype=np.int64)
-            cached = (sums, K)
-            self._tables[h] = cached
-        return cached
+    def _sums(self, h: int, K: int) -> np.ndarray:
+        """The h-sum table over indices 1..K."""
+        sums = self._tables.get((h, K))
+        if sums is None:
+            sums = np.sort(_multiset_sums(self._ints[:K], h))
+            distinct = np.ones(len(sums), dtype=bool)
+            np.not_equal(sums[1:], sums[:-1], out=distinct[1:])
+            sums = sums[distinct]
+            self._tables[(h, K)] = sums
+        return sums
 
-    def _find_multiset(self, target: int, h: int, K: int, start: int = 1) -> tuple[int, ...] | None:
-        """Lexicographically smallest non-decreasing index tuple summing to target."""
-        if h == 0:
-            return () if target == 0 else None
-        if K < start or abs(target) > h * self._prefix_abs_max[K - 1]:
-            return None
-        if h == 1:
-            idxs = self._value_indices.get(target)
-            if not idxs:
-                return None
-            j = bisect_left(idxs, start)
-            if j < len(idxs) and idxs[j] <= K:
-                return (idxs[j],)
-            return None
-        for i in range(start, K + 1):
-            rest = self._find_multiset(target - self.values[i - 1], h - 1, K, i)
-            if rest is not None:
-                return (i,) + rest
-        return None
+    def _half_table(self, h: int) -> np.ndarray:
+        return self._sums(h, self._pool(h))
+
+    def _lexmin(self, s: int, h: int, K: int) -> tuple[int, ...]:
+        """Lexicographically smallest non-decreasing index h-tuple over 1..K summing to s.
+
+        s must be an h-sum over 1..K.  The tuple's smallest index is the first
+        i with s - a(i) an (h-1)-sum over 1..K, and the rest of the tuple is
+        the same descent from s - a(i), down to the first index of a value.
+        """
+        head: list[int] = []
+        vals = self._ints[:K]
+        for r in range(h - 1, 0, -1):
+            rest = self._sums(r, K)
+            comps = s - vals
+            i = int(np.argmax(rest.take(np.searchsorted(rest, comps), mode="clip") == comps))
+            head.append(i + 1)
+            s -= int(vals[i])
+        return (*head, self._value_first_index[s])
 
     def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
         """Candidate (s1, s2) half-sum splits with s1 + s2 = Z, capped and ordered."""
-        sums2, _ = self._half_table(h2)
+        sums2 = self._half_table(h2)
         if not len(sums2):
             return []
         lo, hi = int(sums2[0]), int(sums2[-1])
-        out: list[tuple[int, int]] = []
         if h1 == 1:
-            pairs = []
-            for v in self.values:
-                c = Z - v
-                if lo <= c <= hi:
-                    pairs.append((v, c))
-            if not pairs:
-                return []
-            carr = np.array([c for _, c in pairs], dtype=np.int64)
-            pos = np.searchsorted(sums2, carr)
-            ok = (pos < len(sums2)) & (sums2[np.minimum(pos, len(sums2) - 1)] == carr)
-            for j in np.flatnonzero(ok)[:CANDIDATE_CAP]:
-                out.append(pairs[int(j)])
-            return out
-        if abs(Z) <= BAND_LIMIT:
+            firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
+            comps = (Z - firsts).astype(np.int64)
+        elif abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
-        sums1, _ = self._half_table(h1)
-        if not len(sums1) or abs(Z) >= 1 << 61:
+        elif abs(Z) >= 1 << 61:
             return []
-        comps = Z - sums1
-        inside = (comps >= lo) & (comps <= hi)
-        if not inside.any():
-            return []
-        cin = comps[inside]
-        pos = np.searchsorted(sums2, cin)
-        ok = (pos < len(sums2)) & (sums2[np.minimum(pos, len(sums2) - 1)] == cin)
-        for j in np.flatnonzero(ok)[:CANDIDATE_CAP]:
-            out.append((Z - int(cin[j]), int(cin[j])))
-        return out
+        else:
+            sums1 = self._half_table(h1)
+            firsts = sums1[np.searchsorted(sums1, Z - hi):np.searchsorted(sums1, Z - lo, "right")]
+            comps = Z - firsts
+        hits = sums2.take(np.searchsorted(sums2, comps), mode="clip") == comps
+        return [(int(firsts[j]), int(comps[j])) for j in np.flatnonzero(hits)[:CANDIDATE_CAP]]
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
@@ -439,8 +433,8 @@ class SearchDecomposer:
         cached = self._band_cache.get((h1, h2))
         if cached is not None:
             return cached
-        sums1, _ = self._half_table(h1)
-        sums2, _ = self._half_table(h2)
+        sums1 = self._half_table(h1)
+        sums2 = self._half_table(h2)
         band = BAND_LIMIT
         table: dict[int, list[tuple[int, int]]] = {}
         chunk = 2_000_000
@@ -489,18 +483,11 @@ class SearchDecomposer:
                 return Decomposition(Z, ((i, 1),), ROUTE_SEARCH, ell_max)
         for ell in range(2, min(ell_max, self.MAX_MEET_DEPTH) + 1):
             h1, h2 = ell // 2, ell - ell // 2
-            best: tuple[int, ...] | None = None
-            k1 = self.n_max if h1 == 1 else self._half_table(h1)[1]
-            k2 = self.n_max if h2 == 1 else self._half_table(h2)[1]
-            for s1, s2 in self._meet(Z, h1, h2):
-                m1 = self._find_multiset(s1, h1, k1)
-                m2 = self._find_multiset(s2, h2, k2)
-                if m1 is None or m2 is None:
-                    continue
-                combined = tuple(sorted(m1 + m2))
-                if best is None or combined < best:
-                    best = combined
-            if best is not None:
+            pairs = self._meet(Z, h1, h2)
+            if pairs:
+                k1, k2 = self._pool(h1), self._pool(h2)
+                best = min(sorted(self._lexmin(s1, h1, k1) + self._lexmin(s2, h2, k2))
+                           for s1, s2 in pairs)
                 terms = tuple(sorted(Counter(best).items()))
                 return Decomposition(Z, terms, ROUTE_SEARCH, ell_max)
         return self._baseline(Z, ell_max)

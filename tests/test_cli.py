@@ -32,6 +32,11 @@ class TestCoeffs:
         rc, _, err = run(capsys, ["coeffs", "--form", str(path), "--nmax", "100"])
         assert rc == 1 and "error" in err
 
+    def test_missing_form_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.nft"
+        rc, _, err = run(capsys, ["coeffs", "--form", str(path), "--nmax", "10"])
+        assert rc == 1 and err.startswith("error:") and "missing.nft" in err
+
     def test_cache_write_and_reload(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         argv = ["coeffs", "--form", "11a", "--nmax", "300", "--cache-dir", cache]

@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newform_basis import (
+    FORM_11A,
     ConstructivePipeline,
     Decomposition,
     SearchDecomposer,
@@ -10,6 +13,7 @@ from newform_basis import (
     cf_bound,
     decompose_constructive,
     decompose_search,
+    expand_eta_product,
     greedy_maximal,
     hua_constants,
     prime_power_expand,
@@ -204,6 +208,26 @@ class TestSearch:
         sd._value_first_index[252] = 4  # a(4) = -1472, not 252
         with pytest.raises(VerificationError):
             sd.decompose(252)
+
+    @pytest.mark.parametrize("form", ["delta", "11a"])
+    def test_lexmin_matches_brute_force(self, delta_1k, f11a_1k, form):
+        # 11a repeats values often, so many index tuples share one sum
+        table = delta_1k if form == "delta" else f11a_1k
+        sd = SearchDecomposer(table, n_max=12)
+        for K in range(1, 13):
+            for h in range(1, 5):
+                lexmin: dict[int, tuple[int, ...]] = {}
+                for t in combinations_with_replacement(range(1, K + 1), h):
+                    lexmin.setdefault(sum(table.a(i) for i in t), t)  # emitted in lex order
+                for s, t in lexmin.items():
+                    assert sd._lexmin(s, h, K) == t
+
+    def test_11a_small_band_finishes(self):
+        # 11a's small values repeat often: the 2+2 band finishes only because
+        # it loops over distinct half-sums, not over every pair of 2-sums
+        table = expand_eta_product(FORM_11A, 500)
+        d = SearchDecomposer(table).decompose(-127)
+        assert d.ell == 4 and verify_decomposition(d, table).ok
 
     def test_baseline_fallback_works(self, delta_1k):
         # a searcher with no meet tables still produces the padding fallback
