@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .coefficients import CoeffTable
@@ -32,13 +32,15 @@ class AdmissibleSet:
 
     ``check_bound`` records the largest candidate prime examined while the
     certificate was established: for greedy output, maximality holds against
-    every candidate up to it.
+    every candidate up to it.  ``sums`` maps each k-subset sum to its
+    subset when the builder kept that map (greedy growth does), else None.
     """
 
     k: int
     primes: tuple[int, ...]
     method: str
     check_bound: int
+    sums: dict[int, tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.primes)
@@ -122,24 +124,25 @@ def is_admissible(
 
 
 class _SubsetSums:
-    """Incrementally maintained j-subset coefficient sums, j = 0..k."""
+    """Incrementally maintained j-subset coefficient sums, j = 0..k.
+
+    ``by_size[j]`` maps each distinct j-sum to one subset with it;
+    ``repeats[j]`` records whether two j-subsets share a sum.
+    """
 
     def __init__(self, k: int, max_sums: int):
         self.k = k
         self.max_sums = max_sums
         self.by_size: list[dict[int, tuple[int, ...]]] = [{0: ()}] + [{} for _ in range(k)]
+        self.repeats = [False] * (k + 1)
         self.stored = 0
 
     def conflicts(self, ap: int) -> bool:
         """Would adding a prime with coefficient ap collide at size k?"""
+        if self.repeats[self.k - 1]:
+            return True
         sums_k = self.by_size[self.k]
-        fresh: set[int] = set()
-        for s in self.by_size[self.k - 1]:
-            t = ap + s
-            if t in sums_k or t in fresh:
-                return True
-            fresh.add(t)
-        return False
+        return any(ap + s in sums_k for s in self.by_size[self.k - 1])
 
     def add(self, p: int, ap: int) -> None:
         added = sum(len(self.by_size[j - 1]) for j in range(1, self.k + 1))
@@ -150,7 +153,12 @@ class _SubsetSums:
         for j in range(self.k, 0, -1):
             target = self.by_size[j]
             for s, subset in self.by_size[j - 1].items():
-                target[ap + s] = subset + (p,)
+                if ap + s in target:
+                    self.repeats[j] = True
+                else:
+                    target[ap + s] = subset + (p,)
+            # a repeated (j-1)-sum repeats at size j with p added to both subsets
+            self.repeats[j] = self.repeats[j] or self.repeats[j - 1]
         self.stored += added
 
 
@@ -194,7 +202,7 @@ def greedy_maximal(
         raise InfeasibleError(
             f"greedy growth reached only {len(chosen)} < 2k = {2 * k} primes; raise M"
         )
-    return AdmissibleSet(k, tuple(chosen), METHOD_HASH, last)
+    return AdmissibleSet(k, tuple(chosen), METHOD_HASH, last, store.by_size[k])
 
 
 def dyadic_construction(table: CoeffTable, k: int, l0: int) -> AdmissibleSet:
@@ -244,9 +252,11 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable, max_sums: int = MAX_STOR
     """Express a(p) through 2k-1 primes of the maximal set S.
 
     Locates a k-subset collision of S u {p} involving p (meet-in-the-middle:
-    k-subset sums of S hashed once, then a(p) + each (k-1)-subset sum looked
-    up) and rearranges it.  Failing to find one means S u {p} is admissible,
-    i.e. the maximality precondition does not hold.
+    a(p) + each (k-1)-subset sum, in lexicographic order, looked up among the
+    k-subset sums of S) and rearranges it.  The k-subset sums are S.sums when
+    S carries them and are hashed here otherwise.  Failing to find a
+    collision means S u {p} is admissible, i.e. the maximality precondition
+    does not hold.
     """
     members = S.primes
     if p in members:
@@ -254,10 +264,11 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable, max_sums: int = MAX_STOR
     k = S.k
     if comb(len(members), k) + comb(len(members), k - 1) > max_sums:
         raise MemoryGuardError("subset-sum enumeration exceeds the memory budget")
-    sums_k: dict[int, tuple[int, ...]] = {}
-    for t in itertools.combinations(members, k):
-        s = sum(table.a(q) for q in t)
-        sums_k.setdefault(s, t)
+    sums_k = S.sums
+    if sums_k is None:
+        sums_k = {}
+        for t in itertools.combinations(members, k):
+            sums_k.setdefault(sum(table.a(q) for q in t), t)
     ap = table.a(p)
     for t in itertools.combinations(members, k - 1):
         s = ap + sum(table.a(q) for q in t)

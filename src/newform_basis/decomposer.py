@@ -35,9 +35,9 @@ ROUTE_SEARCH = "search"
 
 SEARCH_ELL_DEFAULT = 74000  # historical worst-case summand count for the motivating form
 
-# Constructive route: the first solve only uses pool primes whose repair
-# partner is at most PARTNER_CAP, keeping decomposition indices cheap to
-# factor during verification; the cap grows eightfold on each miss.
+# Constructive route, k = 1: the first solve only uses pool primes whose
+# repair partner is at most PARTNER_CAP, keeping decomposition indices cheap
+# to factor during verification; the cap grows eightfold on each miss.
 PARTNER_CAP = 10_000
 # Search route: at most CANDIDATE_CAP half-sum splits are reconstructed per
 # depth, and targets with |Z| <= BAND_LIMIT share one precomputed band of splits.
@@ -161,8 +161,8 @@ class ConstructivePipeline:
     """Reusable constructive decomposer for one table and summand count.
 
     Builds the candidate primes (every prime of the table), the maximal
-    admissible set S, and the solver pool once; ``decompose`` then handles
-    any number of targets.
+    admissible set S with its k-subset sums, and the solver pools once;
+    ``decompose`` then handles any number of targets.
 
     s is the summand count for the prime-power equation (default: the
     sufficient count s0 for exponent 2k-1; any s >= 2 is allowed and is
@@ -189,18 +189,15 @@ class ConstructivePipeline:
         self.pool = [p for p in candidates if p not in members]
         self.T = table.max_positive() // 4
         self._expansions: dict[int, PrimePowerExpansion] = {}
+        # the solves of one target try these pools in turn, the full pool last
+        self._pools: list[list[int]] = []
         if self.k == 1:
-            first_with_value: dict[int, int] = {}
-            for q in self.S.primes:
-                first_with_value.setdefault(table.a(q), q)
-            self._partner = {p: first_with_value[table.a(p)] for p in self.pool}
-        else:
-            self._partner = None
-
-    def _pool_with_cap(self, cap: int | None) -> list[int]:
-        if cap is None or self._partner is None:
-            return self.pool
-        return [p for p in self.pool if self._partner[p] <= cap]
+            partners = [self.S.sums[table.a(p)][0] for p in self.pool]
+            cap = PARTNER_CAP
+            while cap < table.n_max:
+                self._pools.append([p for p, q in zip(self.pool, partners) if q <= cap])
+                cap *= 8
+        self._pools = [pool for pool in self._pools + [self.pool] if pool]
 
     def _shift_index(self, x: int) -> int:
         """Smallest index n with a(n) > x."""
@@ -222,20 +219,15 @@ class ConstructivePipeline:
         counts: Counter[int] = Counter()
         if W == 0:
             return counts
-        solution = None
-        cap = PARTNER_CAP if self._partner is not None else None
-        while True:
-            pool = self._pool_with_cap(cap)
-            if pool:
-                solution = find_solution(abs(W), self.s, self.e, allowed=pool)
+        for pool in self._pools:
+            solution = find_solution(abs(W), self.s, self.e, allowed=pool)
             if solution is not None:
                 break
-            if cap is None:
-                raise InfeasibleError(
-                    f"no {self.s}-term prime-power solution for {abs(W)} over the "
-                    f"candidate pool of the table to n_max={self.table.n_max}"
-                )
-            cap = None if cap * 8 >= self.table.n_max else cap * 8
+        else:
+            raise InfeasibleError(
+                f"no {self.s}-term prime-power solution for {abs(W)} over the "
+                f"candidate pool of the table to n_max={self.table.n_max}"
+            )
         negate = W < 0
         for q, mult in sorted(Counter(solution.primes).items()):
             exp = self._expand(q)
@@ -249,12 +241,15 @@ class ConstructivePipeline:
         return counts
 
     def decompose(self, Z: int) -> Decomposition:
-        """Verified constructive decomposition of any integer Z.
+        """Verified constructive decomposition of Z.
 
         Targets at or below the threshold T are first shifted up by an
         oversized positive coefficient; the same shift retries a failed
         prime-power solve, since growing the working target re-enters the
-        range where the candidate pool is dense.
+        range where the candidate pool is dense.  Raises InfeasibleError
+        when the table's coefficients cannot shift the target into a
+        solvable range: with the level-11 table to 10^5, Z = 148 and
+        Z = 10^6 fail, while the table to 3*10^5 decomposes Z = 148.
         """
         if Z == 0:
             d = Decomposition(0, (), ROUTE_CONSTRUCTIVE, self._run_bound(0), self.s)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
@@ -92,10 +92,10 @@ def hua_constants(e: int) -> HuaConstants:
 def _allowed_powers(
     Z: int, e: int, predicate: Callable[[int], bool] | None, allowed: Sequence[int] | None
 ) -> tuple[list[int], list[int]]:
-    """(primes, their e-th powers) usable inside a sum bounded by Z."""
+    """(primes, their e-th powers) usable inside a sum bounded by Z, ascending."""
     bound = integer_nth_root(Z, e) if Z >= 1 else 0
     if allowed is not None:
-        ps = [p for p in allowed if p <= bound]
+        ps = sorted(p for p in allowed if p <= bound)
     else:
         ps = primes_up_to(bound)
         if predicate is not None:
@@ -121,23 +121,14 @@ def count_representations(
         return 0
     T = np.zeros(Z + 1, dtype=np.int64)
     T[0] = 1
-    exact: list[int] | None = None  # big-int fallback once int64 headroom runs out
     for _ in range(s):
-        if exact is None:
-            if int(T.max()) > _INT64_GUARD // len(powers):
-                exact = T.tolist()
-        if exact is None:
-            U = np.zeros(Z + 1, dtype=np.int64)
-            for w in powers:
-                U[w:] += T[: Z + 1 - w]
-            T = U
-        else:
-            V = [0] * (Z + 1)
-            for w in powers:
-                for v in range(w, Z + 1):
-                    V[v] += exact[v - w]
-            exact = V
-    return int(T[Z]) if exact is None else exact[Z]
+        if T.dtype != object and int(T.max()) > _INT64_GUARD // len(powers):
+            T = T.astype(object)  # exact big ints once int64 headroom runs out
+        U = np.zeros(Z + 1, dtype=T.dtype)
+        for w in powers:
+            U[w:] += T[: Z + 1 - w]
+        T = U
+    return int(T[Z])
 
 
 def find_solution(
@@ -167,7 +158,6 @@ def find_solution(
     ps, powers = _allowed_powers(Z, e, predicate, allowed)
     if not powers:
         return None
-    power_index = {w: i for i, w in enumerate(powers)}
     min_w = powers[0]
     budget = node_budget
     # fail_cap[(rem, terms)] = largest candidate index already known fruitless
@@ -186,8 +176,8 @@ def find_solution(
         rem, terms, cap, cur = stack[-1]
         if terms == 1:
             budget -= 1
-            j = power_index.get(rem)
-            if j is not None and j <= cap:
+            j = bisect_left(powers, rem, 0, cap + 1)
+            if j <= cap and powers[j] == rem:
                 found = picks + [j]
                 break
             stack.pop()

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from newform_basis import (
+    AdmissibleSet,
+    CoeffTable,
     InfeasibleError,
     MemoryGuardError,
+    NewformDescriptor,
     cardinality_report,
     dyadic_construction,
     greedy_maximal,
@@ -86,6 +89,25 @@ class TestGreedyMaximal:
         assert len(S) >= 4
         assert is_admissible(S.primes, 2, delta_1k).ok
 
+    @pytest.mark.parametrize("k, candidates", [
+        (2, [3, 5, 7, 11, 13]),
+        (3, [3, 5, 7, 11, 13, 17, 19, 23]),
+        (4, [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    ])
+    def test_shared_lower_sums_are_rejected(self, k, candidates):
+        # a(3) = a(5): {3} u A and {5} u A share a sum for every A, so a
+        # set holding 3, 5 and k-1 further primes is not admissible
+        values = [0] * 60
+        values[0] = values[2] = values[4] = 1
+        for i, p in enumerate(candidates[2:]):
+            values[p - 1] = 10 + 20 * i if k == 2 else 10 ** (i + 1)
+        table = CoeffTable(NewformDescriptor(2, 1, "synthetic"), 60, values)
+        try:
+            S = greedy_maximal(candidates, k, table)
+        except InfeasibleError:
+            return
+        assert is_admissible(S.primes, k, table, method="brute-force").ok
+
 
 class TestDyadic:
     def test_11a_l0_4(self, f11a_1k):
@@ -133,6 +155,17 @@ class TestRepair:
             assert witness.verify(delta_1k)
             assert len(witness.plus) == 2 and len(witness.minus) == 1
 
+    @pytest.mark.parametrize("k, bound", [(1, 300), (2, 200)])
+    def test_stored_sums_give_the_rebuilt_witness(self, f11a_1k, delta_1k, k, bound):
+        table = f11a_1k if k == 1 else delta_1k
+        candidates, _ = prime_sets(table, bound)
+        S = greedy_maximal(candidates, k, table)
+        bare = AdmissibleSet(k, S.primes, S.method, S.check_bound)
+        assert S.sums is not None and bare.sums is None and S == bare
+        for p in candidates:
+            if p not in S:
+                assert repair(p, S, table) == repair(p, bare, table)
+
     def test_member_rejected(self, f11a_1k):
         candidates, _ = prime_sets(f11a_1k, 300)
         S = greedy_maximal(candidates, 1, f11a_1k)
@@ -140,8 +173,6 @@ class TestRepair:
             repair(S.primes[0], S, f11a_1k)
 
     def test_non_maximal_precondition_detected(self, f11a_1k):
-        from newform_basis import AdmissibleSet
-
         S = AdmissibleSet(1, (3, 5), "hash-collision", 5)
         with pytest.raises(InfeasibleError, match="maximality"):
             repair(13, S, f11a_1k)  # a(13) = 4 differs from a(3), a(5)

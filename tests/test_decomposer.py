@@ -8,6 +8,7 @@ from newform_basis import (
     FORM_11A,
     ConstructivePipeline,
     Decomposition,
+    InfeasibleError,
     SearchDecomposer,
     VerificationError,
     cf_bound,
@@ -20,6 +21,7 @@ from newform_basis import (
     prime_sets,
     verify_decomposition,
 )
+from newform_basis import decomposer
 from newform_basis.decomposer import ROUTE_SEARCH
 
 
@@ -168,6 +170,20 @@ class TestConstructiveSmallTable:
         # over this table's candidate pool; the retry shift must recover it
         d = pipe.decompose(328)
         assert verify_decomposition(d, table).ok
+
+    def test_a_miss_solves_each_pool_once(self, monkeypatch, table, f11a_1k):
+        # k = 1: partner caps 10^4 and 8*10^4 lie below n_max = 10^5, then the
+        # full pool; a table inside the first cap solves its full pool alone
+        sizes = []
+        monkeypatch.setattr(decomposer, "find_solution",
+                            lambda *args, allowed, **kw: sizes.append(len(allowed)))
+        for t, solves in ((table, 3), (f11a_1k, 1)):
+            pipe = ConstructivePipeline(t)
+            sizes.clear()
+            with pytest.raises(InfeasibleError):
+                pipe._expand_target(1000)
+            assert len(sizes) == solves and sizes == sorted(sizes)
+            assert sizes[-1] == len(pipe.pool)
 
     def test_s_override_recorded(self, table):
         pipe = ConstructivePipeline(table, s=4)

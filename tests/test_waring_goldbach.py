@@ -103,6 +103,9 @@ class TestFindSolution:
         with pytest.warns(UserWarning):
             assert find_solution(11, 2, 1) is None  # 11 = p + q has no prime solution
 
+    def test_unsorted_allowed(self):
+        assert find_solution(10, 2, 1, allowed=[7, 5, 3]).primes == (3, 7)
+
     def test_solution_reverifies(self):
         sol = find_solution(100, 4, 1)
         assert sol is not None and sol.verify()
