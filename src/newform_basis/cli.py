@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import decomposer as dec
 from .admissible import cardinality_report, dyadic_construction, greedy_maximal, repair
@@ -25,6 +26,7 @@ from .coefficients import (
     save_prime_table,
 )
 from .errors import IntegrityError, NewformBasisError, TableTooSmallError
+from .primes import integer_nth_root
 from .signs import first_negative, large_coeff_density, prime_sets
 from .waring_goldbach import (
     count_representations,
@@ -169,30 +171,25 @@ def _cmd_admissible(args) -> int:
     return rc
 
 
-def _wg_predicate(args, bound: int):
+def _wg_allowed(args, bound: int) -> list[int] | None:
     if args.predicate == "all":
         return None
     table = _table_for(args.form, max(bound, 16), args.cache_dir)
     candidates, has_large = prime_sets(table, min(bound, table.n_max))
-    allowed = set(candidates)
     if args.predicate == "p0":
-        return lambda p: p in allowed
-    return lambda p: p in allowed and not has_large(p)  # p0-minus-pprime
+        return candidates
+    return [p for p in candidates if not has_large(p)]  # p0-minus-pprime
 
 
 def _cmd_wg(args) -> int:
-    from .primes import integer_nth_root
-
     bound = integer_nth_root(args.Z, args.e) + 1
     if args.action == "count":
-        predicate = _wg_predicate(args, bound)
-        count = count_representations(args.Z, args.s, args.e, predicate)
+        count = count_representations(args.Z, args.s, args.e, allowed=_wg_allowed(args, bound))
         _emit(args, {"Z": args.Z, "s": args.s, "e": args.e, "count": count},
               [f"count={count}"])
         return 0
     if args.action == "solve":
-        predicate = _wg_predicate(args, bound)
-        sol = find_solution(args.Z, args.s, args.e, predicate)
+        sol = find_solution(args.Z, args.s, args.e, allowed=_wg_allowed(args, bound))
         if sol is None:
             _emit(args, {"Z": args.Z, "found": False}, ["no solution found within budget"])
             return 1
@@ -299,13 +296,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # every invocation, not once per process
+            return args.func(args)
     except (NewformBasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for w in caught:  # library warnings as plain lines, not Python warning records
+            print(f"warning: {w.message}", file=sys.stderr)
 
 
 def console_main() -> None:

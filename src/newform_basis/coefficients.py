@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -182,31 +182,23 @@ class CoeffTable:
         if n <= self.n_max:
             return self.a(n)
         primes = self.primes()
-        val = 1
-        rem = n
-        i = 0
+        val, rem, i = 1, n, 0
         while rem > self.n_max:
             s = isqrt(rem)
             if s * s == rem and s <= self.n_max and is_prime(s):
-                val *= self.prime_power(s, 2)
-                rem = 1
-                break
-            while i < len(primes) and primes[i] * primes[i] <= rem and rem % primes[i]:
+                return val * self.prime_power(s, 2)
+            while i < len(primes) and primes[i] <= s and rem % primes[i]:
                 i += 1
-            if i >= len(primes) or primes[i] * primes[i] > rem:
-                # rem is prime here, and it is > n_max
+            if i == len(primes) or primes[i] > s:  # rem is a prime > n_max
                 raise TableTooSmallError(
                     f"index {n} has prime factor {rem} beyond table bound {self.n_max}"
                 )
-            p = primes[i]
-            e = 0
+            p, e = primes[i], 0
             while rem % p == 0:
                 rem //= p
                 e += 1
             val *= self.prime_power(p, e)
-        if rem > 1:
-            val *= self.a(rem)  # rem is coprime to every stripped prime
-        return val
+        return val * self.a(rem)  # rem is coprime to every stripped prime; a(1) = 1
 
     def truncate(self, m: int) -> "CoeffTable":
         """Prefix table with the same descriptor and n_max = m."""
@@ -492,8 +484,6 @@ class IdentityReport:
 
 def _coprime_sample_pairs(n_max: int, limit: int) -> Iterable[tuple[int, int]]:
     """Deterministic spread of coprime pairs (m, n) with m*n <= n_max."""
-    from math import gcd
-
     count = 0
     for m in range(2, 64):
         if m * 2 > n_max:

@@ -28,7 +28,7 @@ from .admissible import AdmissibleSet, RepairWitness, greedy_maximal, repair
 from .coefficients import CoeffTable
 from .errors import InfeasibleError, TableTooSmallError, VerificationError
 from .signs import first_negative, prime_sets
-from .waring_goldbach import find_solution, hua_constants
+from .waring_goldbach import find_solution, hua_constants, prime_powers
 
 ROUTE_CONSTRUCTIVE = "constructive"
 ROUTE_SEARCH = "search"
@@ -161,8 +161,9 @@ class ConstructivePipeline:
     """Reusable constructive decomposer for one table and summand count.
 
     Builds the candidate primes (every prime of the table), the maximal
-    admissible set S with its k-subset sums, and the solver pools once;
-    ``decompose`` then handles any number of targets.
+    admissible set S with its k-subset sums, and the solver pools once (each
+    prepared as ascending primes and their (2k-1)-th powers, which every solve
+    cuts without copying); ``decompose`` then handles any number of targets.
 
     s is the summand count for the prime-power equation (default: the
     sufficient count s0 for exponent 2k-1; any s >= 2 is allowed and is
@@ -190,14 +191,14 @@ class ConstructivePipeline:
         self.T = table.max_positive() // 4
         self._expansions: dict[int, PrimePowerExpansion] = {}
         # the solves of one target try these pools in turn, the full pool last
-        self._pools: list[list[int]] = []
+        pools: list[list[int]] = []
         if self.k == 1:
             partners = [self.S.sums[table.a(p)][0] for p in self.pool]
             cap = PARTNER_CAP
             while cap < table.n_max:
-                self._pools.append([p for p, q in zip(self.pool, partners) if q <= cap])
+                pools.append([p for p, q in zip(self.pool, partners) if q <= cap])
                 cap *= 8
-        self._pools = [pool for pool in self._pools + [self.pool] if pool]
+        self._pools = [prime_powers(pool, self.e) for pool in pools + [self.pool] if pool]
 
     def _shift_index(self, x: int) -> int:
         """Smallest index n with a(n) > x."""
@@ -206,13 +207,6 @@ class ConstructivePipeline:
         if j == len(values):
             raise TableTooSmallError(f"no coefficient exceeds {x}; extend the table")
         return indices[j]
-
-    def _expand(self, q: int) -> PrimePowerExpansion:
-        exp = self._expansions.get(q)
-        if exp is None:
-            exp = prime_power_expand(q, self.S, self.table)
-            self._expansions[q] = exp
-        return exp
 
     def _expand_target(self, W: int) -> Counter:
         """Index multiplicities realizing C0 * W through prime-power expansions."""
@@ -230,7 +224,9 @@ class ConstructivePipeline:
             )
         negate = W < 0
         for q, mult in sorted(Counter(solution.primes).items()):
-            exp = self._expand(q)
+            if q not in self._expansions:
+                self._expansions[q] = prime_power_expand(q, self.S, self.table)
+            exp = self._expansions[q]
             plus, minus = (exp.minus, exp.plus) if negate else (exp.plus, exp.minus)
             for i in plus:
                 counts[i] += self.C0 * mult

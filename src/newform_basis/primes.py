@@ -28,24 +28,34 @@ def sieve_bitmap(limit: int) -> np.ndarray:
     return b
 
 
+_SIEVE = (0, np.zeros(0, dtype=np.int64))  # shared (limit, primes <= limit), swapped whole
+
+
+def prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit: a read-only ascending int64 cut of the shared sieve,
+    which grows to the next power of two at or above the largest limit asked for."""
+    global _SIEVE
+    sieved, primes = _SIEVE
+    if limit > sieved:
+        sieved = 1 << (limit - 1).bit_length()
+        primes = np.flatnonzero(sieve_bitmap(sieved)).astype(np.int64, copy=False)
+        primes.flags.writeable = False
+        _SIEVE = (sieved, primes)
+    return primes[: np.searchsorted(primes, limit, side="right")]
+
+
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    return [int(p) for p in np.flatnonzero(sieve_bitmap(limit))]
+    """All primes <= limit, ascending (a fresh list cut from the shared sieve)."""
+    return prime_array(limit).tolist()
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """Array s with s[n] = smallest prime factor of n (s[0] = s[1] = 0)."""
     s = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 2:
-        sl = s[2:]
-        sl[::2] = 2  # even slots; odd primes fill the rest below
-        for p in range(3, isqrt(limit) + 1, 2):
-            if s[p] == 0:
-                sel = s[p * p:: p]
-                sel[sel == 0] = p
-        rest = s[2:]
-        unmarked = np.flatnonzero(rest == 0) + 2
-        rest[unmarked - 2] = unmarked  # remaining slots are prime
+    for p in prime_array(isqrt(limit))[::-1].tolist():
+        s[p * p:: p] = p  # descending, so the smallest prime writes last
+    unmarked = np.flatnonzero(s[2:] == 0) + 2
+    s[unmarked] = unmarked  # remaining slots are prime
     return s
 
 

@@ -8,6 +8,10 @@ to exact Python integers if a bound check ever finds int64 headroom too
 small.  The singular series evaluates each modulus q with exact residue
 arithmetic inside the exponential sums (counting power residues, then one
 FFT of length q) and accumulates the q-terms with compensated summation.
+
+Prime lists are never rebuilt per call: without a pool they are cuts of the
+shared sieve (``primes.prime_array``); a pool prepared once by ``prime_powers``,
+as ``ConstructivePipeline`` does, is cut with one bisect.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MemoryGuardError
-from .primes import integer_nth_root, primes_up_to
+from .primes import integer_nth_root, prime_array, primes_up_to
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
@@ -51,12 +55,8 @@ class WGSolution:
     def s(self) -> int:
         return len(self.primes)
 
-    def verify(self, predicate: Callable[[int], bool] | None = None) -> bool:
-        if sum(p**self.e for p in self.primes) != self.Z:
-            return False
-        if predicate is not None and not all(predicate(p) for p in self.primes):
-            return False
-        return True
+    def verify(self) -> bool:
+        return sum(p**self.e for p in self.primes) == self.Z
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,35 @@ def hua_constants(e: int) -> HuaConstants:
     return HuaConstants(e, K, s0, kw)
 
 
+class PrimePowers(NamedTuple):
+    """Ascending primes with their e-th powers: a pool prepared once, cut per call."""
+
+    primes: Sequence[int]
+    powers: Sequence[int]
+    e: int
+
+
+def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
+    """Prepare ascending ``primes`` (kept, not copied; for e = 1 they are the powers)."""
+    return PrimePowers(primes, primes if e == 1 else [p**e for p in primes], e)
+
+
 def _allowed_powers(
-    Z: int, e: int, predicate: Callable[[int], bool] | None, allowed: Sequence[int] | None
-) -> tuple[list[int], list[int]]:
-    """(primes, their e-th powers) usable inside a sum bounded by Z, ascending."""
-    bound = integer_nth_root(Z, e) if Z >= 1 else 0
-    if allowed is not None:
-        ps = sorted(p for p in allowed if p <= bound)
-    else:
-        ps = primes_up_to(bound)
-        if predicate is not None:
-            ps = [p for p in ps if predicate(p)]
-    return ps, [p**e for p in ps]
+    Z: int, e: int, predicate: Callable[[int], bool] | None,
+    allowed: Sequence[int] | PrimePowers | None,
+) -> tuple[PrimePowers, int]:
+    """The pool and the count n of its powers <= Z: one bisect into a prepared pool,
+    a plain ``allowed`` sorted first, else a cut of the shared sieve (``prime_array``)."""
+    if allowed is None:
+        ps = prime_array(integer_nth_root(Z, e))
+        if predicate is not None or e > 1:
+            ps = [p for p in ps.tolist() if predicate is None or predicate(p)]
+        allowed = prime_powers(ps, e)
+    elif not isinstance(allowed, PrimePowers):
+        allowed = prime_powers(sorted(map(int, allowed)), e)  # exact ints, even from ndarrays
+    elif allowed.e != e:
+        raise ValueError(f"pool prepared for e = {allowed.e}, not {e}")
+    return allowed, bisect_right(allowed.powers, Z)
 
 
 def count_representations(
@@ -108,7 +125,7 @@ def count_representations(
     s: int,
     e: int,
     predicate: Callable[[int], bool] | None = None,
-    allowed: Sequence[int] | None = None,
+    allowed: Sequence[int] | PrimePowers | None = None,
     max_cells: int = _MAX_DP_CELLS,
 ) -> int:
     """Exact number of ordered s-tuples of allowed primes with sum of e-th powers Z."""
@@ -116,16 +133,16 @@ def count_representations(
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
     if Z + 1 > max_cells:
         raise MemoryGuardError(f"count table of {Z + 1} cells exceeds the {max_cells} budget")
-    _, powers = _allowed_powers(Z, e, predicate, allowed)
-    if not powers:
+    pool, n = _allowed_powers(Z, e, predicate, allowed)
+    if not n:
         return 0
     T = np.zeros(Z + 1, dtype=np.int64)
     T[0] = 1
     for _ in range(s):
-        if T.dtype != object and int(T.max()) > _INT64_GUARD // len(powers):
+        if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
             T = T.astype(object)  # exact big ints once int64 headroom runs out
         U = np.zeros(Z + 1, dtype=T.dtype)
-        for w in powers:
+        for w in pool.powers[:n]:
             U[w:] += T[: Z + 1 - w]
         T = U
     return int(T[Z])
@@ -136,15 +153,16 @@ def find_solution(
     s: int,
     e: int,
     predicate: Callable[[int], bool] | None = None,
-    allowed: Sequence[int] | None = None,
+    allowed: Sequence[int] | PrimePowers | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WGSolution | None:
     """One multiset of s allowed primes with sum of e-th powers Z, or None.
 
     Greedy descent: the largest feasible prime power is tried first, failures
-    are memoized per (residual, terms-left) with the deepest index that
-    failed, and the search gives up after ``node_budget`` visited nodes.
-    Returning None means exhaustion, never proven impossibility.
+    are memoized per (residual, terms-left) with the deepest index that failed,
+    and the search gives up after ``node_budget`` visited nodes.  The memo and
+    both prunings are sound: a None returned with budget left proves there is
+    no solution over the allowed primes; only a spent budget proves nothing.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -155,54 +173,41 @@ def find_solution(
             "solutions need not exist",
             stacklevel=2,
         )
-    ps, powers = _allowed_powers(Z, e, predicate, allowed)
-    if not powers:
+    (ps, powers, _), n = _allowed_powers(Z, e, predicate, allowed)
+    if not n:
         return None
     min_w = powers[0]
-    budget = node_budget
     # fail_cap[(rem, terms)] = largest candidate index already known fruitless
     fail_cap: dict[tuple[int, int], int] = {}
 
     def first_cursor(rem: int, terms: int, cap: int) -> int:
         return bisect_right(powers, rem - (terms - 1) * min_w, 0, cap + 1) - 1
 
-    # Explicit DFS stack (frames mutate their cursor), so depth s needs no recursion.
-    stack = [[Z, s, len(powers) - 1, first_cursor(Z, s, len(powers) - 1)]]
-    picks: list[int] = []
-    found: list[int] | None = None
-    while stack:
-        if budget <= 0:
-            return None
+    # Explicit DFS stack of [rem, terms, cap, cursor]; a frame's cap is its parent's pick.
+    stack = [[Z, s, n - 1, first_cursor(Z, s, n - 1)]]
+    while stack and node_budget > 0:
         rem, terms, cap, cur = stack[-1]
         if terms == 1:
-            budget -= 1
+            node_budget -= 1
             j = bisect_left(powers, rem, 0, cap + 1)
             if j <= cap and powers[j] == rem:
-                found = picks + [j]
-                break
+                picks = [frame[2] for frame in stack[1:]] + [j]
+                sol = WGSolution(Z, e, tuple(sorted(int(ps[i]) for i in picks)))
+                if not sol.verify():
+                    raise AssertionError("solver produced an invalid solution")
+                return sol
             stack.pop()
-            if stack:
-                picks.pop()
             continue
-        known = fail_cap.get((rem, terms))
-        if (known is not None and cap <= known) or cur < 0 or powers[cur] * terms < rem:
-            if known is None or cap > known:
-                fail_cap[(rem, terms)] = cap
+        known = fail_cap.get((rem, terms), -1)
+        if cap <= known or cur < 0 or powers[cur] * terms < rem:
+            fail_cap[(rem, terms)] = max(cap, known)
             stack.pop()
-            if stack:
-                picks.pop()
             continue
-        budget -= 1
+        node_budget -= 1
         stack[-1][3] = cur - 1  # next candidate for this frame, descending
-        w = powers[cur]
-        picks.append(cur)
-        stack.append([rem - w, terms - 1, cur, first_cursor(rem - w, terms - 1, cur)])
-    if found is None:
-        return None
-    sol = WGSolution(Z, e, tuple(sorted(ps[i] for i in found)))
-    if not sol.verify():
-        raise AssertionError("solver produced an invalid solution")
-    return sol
+        rem -= powers[cur]
+        stack.append([rem, terms - 1, cur, first_cursor(rem, terms - 1, cur)])
+    return None
 
 
 def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> SingularSeriesEstimate:
@@ -215,8 +220,7 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    parts_re: list[float] = []
-    parts_im: list[float] = []
+    terms: list[complex] = []
     for q in range(1, q_max + 1):
         units = [l for l in range(q) if gcd(l, q) == 1]
         phi = len(units)
@@ -225,11 +229,9 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
         S_over_phi = np.conj(np.fft.fft(counts))[np.array(units)] / phi
         phase_idx = np.array([(h * Z) % q for h in units], dtype=np.float64)
         phases = np.exp(-2j * np.pi * phase_idx / q)
-        term = (S_over_phi**s * phases).sum()
-        parts_re.append(float(term.real))
-        parts_im.append(float(term.imag))
-    value = math.fsum(parts_re)
-    resid = abs(math.fsum(parts_im))
+        terms.append(complex((S_over_phi**s * phases).sum()))
+    value = math.fsum(t.real for t in terms)
+    resid = abs(math.fsum(t.imag for t in terms))
     if resid > 1e-6 * (1.0 + abs(value)):
         raise AssertionError(f"singular series has non-real residue {resid}")
     return SingularSeriesEstimate(value, q_max)

@@ -104,6 +104,15 @@ class TestWg:
         rc, out, _ = run(capsys, ["wg", "solve", "--Z", "11", "--s", "2", "--e", "1"])
         assert rc == 1
 
+    def test_congruence_warning_is_a_plain_line_every_time(self, capsys, recwarn):
+        argv = ["wg", "solve", "--Z", "9", "--s", "2", "--e", "1"]
+        for _ in range(2):
+            rc, _, err = run(capsys, argv)
+            assert rc == 0 and err == (
+                "warning: Z = 9 is not congruent to s = 2 mod K = 2; solutions need not exist\n"
+            )
+        assert not recwarn.list  # printed, not raised as a Python warning
+
     def test_count(self, capsys):
         rc, out, _ = run(capsys, ["wg", "count", "--Z", "10", "--s", "2", "--e", "1"])
         assert rc == 0 and "count=3" in out

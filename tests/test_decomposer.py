@@ -174,16 +174,31 @@ class TestConstructiveSmallTable:
     def test_a_miss_solves_each_pool_once(self, monkeypatch, table, f11a_1k):
         # k = 1: partner caps 10^4 and 8*10^4 lie below n_max = 10^5, then the
         # full pool; a table inside the first cap solves its full pool alone
-        sizes = []
+        pools = []
         monkeypatch.setattr(decomposer, "find_solution",
-                            lambda *args, allowed, **kw: sizes.append(len(allowed)))
+                            lambda *args, allowed, **kw: pools.append(allowed))
         for t, solves in ((table, 3), (f11a_1k, 1)):
             pipe = ConstructivePipeline(t)
-            sizes.clear()
+            pools.clear()
             with pytest.raises(InfeasibleError):
                 pipe._expand_target(1000)
+            sizes = [len(pool.primes) for pool in pools]
             assert len(sizes) == solves and sizes == sorted(sizes)
             assert sizes[-1] == len(pipe.pool)
+
+    def test_solves_share_the_prepared_pools(self, monkeypatch, table):
+        # every target receives the pools built in __init__, not per-call copies;
+        # for e = 1 the full pool's primes and powers are the pipeline's pool itself
+        pools = []
+        monkeypatch.setattr(decomposer, "find_solution",
+                            lambda *args, allowed, **kw: pools.append(allowed))
+        pipe = ConstructivePipeline(table)
+        for W in (1000, 2002):
+            with pytest.raises(InfeasibleError):
+                pipe._expand_target(W)
+        first, second = pools[:3], pools[3:]
+        assert len(second) == 3 and all(a is b for a, b in zip(first, second))
+        assert first[-1].primes is pipe.pool and first[-1].powers is pipe.pool
 
     def test_s_override_recorded(self, table):
         pipe = ConstructivePipeline(table, s=4)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newform_basis import primes
 from newform_basis.primes import (
     divisor_counts,
     integer_nth_root,
@@ -25,6 +26,19 @@ def test_primes_up_to_small():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_shared_sieve_matches_trial_division(monkeypatch):
+    # from an empty shared sieve: every limit ascending (each 2^j + 1 grows
+    # it), then descending (cuts of the largest); returned lists are copies
+    monkeypatch.setattr(primes, "_SIEVE", (0, primes._SIEVE[1][:0]))
+    limits = [0, 1, 2, 3] + [2**j + d for j in range(4, 13) for d in (-1, 0, 1)]
+    for n in limits + limits[::-1]:
+        got = primes_up_to(n)
+        assert got == [m for m in range(n + 1) if trial_division_is_prime(m)], n
+        got.append(-1)
+        got[:1] = [4]
+    assert primes._SIEVE[0] == 2**13
 
 
 def test_sieve_matches_trial_division():

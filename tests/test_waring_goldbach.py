@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from newform_basis import (
     singular_series,
 )
 from newform_basis.primes import primes_up_to
-from newform_basis import waring_goldbach
+from newform_basis import primes, waring_goldbach
+from newform_basis.waring_goldbach import prime_powers
 
 
 class TestHuaConstants:
@@ -105,6 +107,44 @@ class TestFindSolution:
 
     def test_unsorted_allowed(self):
         assert find_solution(10, 2, 1, allowed=[7, 5, 3]).primes == (3, 7)
+
+    @pytest.mark.filterwarnings("ignore:Z = ")
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_none_with_budget_left_is_a_proof(self, monkeypatch, order):
+        # the memo and both prunings are sound: a None within the node budget
+        # means no solution exists; each order starts from an empty shared sieve
+        # and crosses its growth (ascending) or cuts one large sieve (descending)
+        monkeypatch.setattr(primes, "_SIEVE", (0, primes._SIEVE[1][:0]))
+        for Z in range(1, 301)[::order]:
+            for s in (2, 3):
+                none = find_solution(Z, s, 1) is None
+                assert none == (count_representations(Z, s, 1) == 0), (Z, s)
+
+    def test_solves_below_a_warm_bound_do_not_sieve(self, monkeypatch):
+        with pytest.warns(UserWarning):
+            find_solution(10**6, 3, 1)
+        calls = []
+        sieve = primes.sieve_bitmap
+        monkeypatch.setattr(primes, "sieve_bitmap", lambda n: calls.append(n) or sieve(n))
+        for Z in range(10**6 - 1, 0, -10**4):
+            assert find_solution(Z, 3, 1) is not None
+        assert calls == []
+
+    def test_ndarray_allowed_powers_are_exact(self):
+        # 59^11 and 61^11 exceed int64: the powers must be Python ints
+        Z = 2 * 59**11 + 2 * 61**11
+        assert find_solution(Z, 4, 11, allowed=np.array([61, 59])).primes == (59, 59, 61, 61)
+
+    @pytest.mark.filterwarnings("ignore:Z = ")
+    def test_prepared_pool_matches_plain_allowed(self):
+        pool = primes_up_to(400)[3:]
+        for e, s in ((1, 2), (1, 3), (3, 4)):
+            prepared = prime_powers(pool, e)
+            for Z in range(1, 1500):
+                plain = find_solution(Z, s, e, allowed=pool[::-1])
+                assert find_solution(Z, s, e, allowed=prepared) == plain
+        with pytest.raises(ValueError):
+            find_solution(10, 2, 3, allowed=prime_powers(pool, 1))
 
     def test_solution_reverifies(self):
         sol = find_solution(100, 4, 1)
