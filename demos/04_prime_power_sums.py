@@ -1,6 +1,7 @@
 """Representations of integers as sums of prime powers.
 
-Counts are exact ordered-tuple counts from a layered convolution; the
+Counts are exact ordered-tuple counts that meet in the middle (the
+ceil(s/2)- and floor(s/2)-term layers joined by one dot product); the
 truncated singular series and its main-term companion show how strongly
 the arithmetic of Z (here: its class mod 9, for cubes) modulates the
 solution count.  The solver finds one explicit representation.

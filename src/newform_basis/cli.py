@@ -171,9 +171,10 @@ def _cmd_admissible(args) -> int:
     return rc
 
 
-def _wg_allowed(args, bound: int) -> list[int] | None:
-    if args.predicate == "all":
-        return None
+def _wg_allowed(args) -> list[int] | None:
+    if args.predicate == "all" or args.Z < 1 or args.e < 1:
+        return None  # no pool to build; the library names a bad Z or e itself
+    bound = integer_nth_root(args.Z, args.e) + 1
     table = _table_for(args.form, max(bound, 16), args.cache_dir)
     candidates, has_large = prime_sets(table, min(bound, table.n_max))
     if args.predicate == "p0":
@@ -182,14 +183,13 @@ def _wg_allowed(args, bound: int) -> list[int] | None:
 
 
 def _cmd_wg(args) -> int:
-    bound = integer_nth_root(args.Z, args.e) + 1
     if args.action == "count":
-        count = count_representations(args.Z, args.s, args.e, allowed=_wg_allowed(args, bound))
+        count = count_representations(args.Z, args.s, args.e, allowed=_wg_allowed(args))
         _emit(args, {"Z": args.Z, "s": args.s, "e": args.e, "count": count},
               [f"count={count}"])
         return 0
     if args.action == "solve":
-        sol = find_solution(args.Z, args.s, args.e, allowed=_wg_allowed(args, bound))
+        sol = find_solution(args.Z, args.s, args.e, allowed=_wg_allowed(args))
         if sol is None:
             _emit(args, {"Z": args.Z, "found": False}, ["no solution found within budget"])
             return 1

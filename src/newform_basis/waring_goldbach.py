@@ -1,13 +1,15 @@
 """Sums of prime powers: local constants, exact counts, solutions, and the
 truncated singular series with its main-term companion.
 
-Counting is done layer by layer over ordered tuples: the array T_j[v] holds
-the number of ordered j-tuples of allowed prime e-th powers summing to v, so
-T_s[Z] is the ordered representation count.  Layers run in int64 and escalate
-to exact Python integers if a bound check ever finds int64 headroom too
-small.  The singular series evaluates each modulus q with exact residue
-arithmetic inside the exponential sums (counting power residues, then one
-FFT of length q) and accumulates the q-terms with compensated summation.
+Counting meets in the middle over ordered tuples: the array T_j[v] holds the
+number of ordered j-tuples of allowed prime e-th powers summing to v, and the
+ordered representation count is sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v],
+one dot product of the two half layers.  Layers and that product run in int64
+and escalate to exact Python integers if a bound check ever finds int64
+headroom too small.  The singular series evaluates each modulus q with exact
+integer residue arithmetic on arrays inside the exponential sums (counting
+power residues, then one FFT of length q) and accumulates the q-terms with
+compensated summation.
 
 Prime lists are never rebuilt per call: without a pool they are cuts of the
 shared sieve (``primes.prime_array``); a pool prepared once by ``prime_powers``,
@@ -20,18 +22,17 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MemoryGuardError
-from .primes import integer_nth_root, prime_array, primes_up_to
+from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
-_MAX_DP_CELLS = 2**25  # per layer; two int64 layers live at once
-_INT64_GUARD = 2**62  # escalate counting to exact big ints past this headroom
+_MAX_DP_CELLS = 2**25  # per layer; at most two int64 layers live at once
+_INT64_GUARD = 2**62  # escalate a layer or the final product to exact big ints past this
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def hua_constants(e: int) -> HuaConstants:
 
 
 class PrimePowers(NamedTuple):
-    """Ascending primes with their e-th powers: a pool prepared once, cut per call."""
+    """Distinct ascending primes with their e-th powers: a pool prepared once, cut per call."""
 
     primes: Sequence[int]
     powers: Sequence[int]
@@ -98,7 +99,7 @@ class PrimePowers(NamedTuple):
 
 
 def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
-    """Prepare ascending ``primes`` (kept, not copied; for e = 1 they are the powers)."""
+    """Prepare distinct ascending ``primes`` (kept, not copied; for e = 1 they are the powers)."""
     return PrimePowers(primes, primes if e == 1 else [p**e for p in primes], e)
 
 
@@ -107,14 +108,19 @@ def _allowed_powers(
     allowed: Sequence[int] | PrimePowers | None,
 ) -> tuple[PrimePowers, int]:
     """The pool and the count n of its powers <= Z: one bisect into a prepared pool,
-    a plain ``allowed`` sorted first, else a cut of the shared sieve (``prime_array``)."""
+    a plain ``allowed`` checked, de-duplicated and sorted first, else a cut of the
+    shared sieve (``prime_array``)."""
     if allowed is None:
         ps = prime_array(integer_nth_root(Z, e))
         if predicate is not None or e > 1:
             ps = [p for p in ps.tolist() if predicate is None or predicate(p)]
         allowed = prime_powers(ps, e)
     elif not isinstance(allowed, PrimePowers):
-        allowed = prime_powers(sorted(map(int, allowed)), e)  # exact ints, even from ndarrays
+        ps = list(dict.fromkeys(map(int, allowed)))  # exact ints, even from ndarrays; each once
+        bad = next((p for p in ps if not is_prime(p)), None)
+        if bad is not None:
+            raise ValueError(f"allowed entry {bad} is not a prime")
+        allowed = prime_powers(sorted(ps), e)
     elif allowed.e != e:
         raise ValueError(f"pool prepared for e = {allowed.e}, not {e}")
     return allowed, bisect_right(allowed.powers, Z)
@@ -128,7 +134,17 @@ def count_representations(
     allowed: Sequence[int] | PrimePowers | None = None,
     max_cells: int = _MAX_DP_CELLS,
 ) -> int:
-    """Exact number of ordered s-tuples of allowed primes with sum of e-th powers Z."""
+    """Exact number of ordered s-tuples of allowed primes with sum of e-th powers Z.
+
+    Meets in the middle: with T_j[v] the number of ordered j-tuples of allowed
+    powers summing to v, the count is sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v],
+    one dot product.  Layer 1 places a 1 at each (distinct) allowed power; each
+    further layer is one shifted add per power, and T_floor(s/2) is the source
+    of the last one, so at most two layers of Z + 1 cells are alive.  A layer,
+    and the final product, runs in int64 only when a bound check shows that no
+    cell or partial sum can pass ``_INT64_GUARD``; otherwise it escalates to
+    exact Python integers, so the count is exact for every s and Z.
+    """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
     if Z + 1 > max_cells:
@@ -136,16 +152,29 @@ def count_representations(
     pool, n = _allowed_powers(Z, e, predicate, allowed)
     if not n:
         return 0
+    powers = pool.powers[:n]
     T = np.zeros(Z + 1, dtype=np.int64)
-    T[0] = 1
-    for _ in range(s):
+    T[np.asarray(powers)] = 1
+    lo = s // 2  # T_lo is kept for the product; the loop builds up to T_(s - lo)
+    low = T if lo == 1 else None
+    for j in range(2, s - lo + 1):
         if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
             T = T.astype(object)  # exact big ints once int64 headroom runs out
         U = np.zeros(Z + 1, dtype=T.dtype)
-        for w in pool.powers[:n]:
+        for w in powers:
             U[w:] += T[: Z + 1 - w]
         T = U
-    return int(T[Z])
+        if j == lo:
+            low = T
+    if not lo:  # s = 1
+        return int(T[Z])
+    low = low[::-1]  # low[v] = T_lo[Z - v]
+    # partial sums stay <= max(T) * sum(low), and sum(low) <= n^lo, max(low) * (Z + 1)
+    if T.dtype == object or (
+        int(T.max()) * min(n**lo, int(low.max()) * (Z + 1)) > _INT64_GUARD
+    ):
+        T, low = T.astype(object, copy=False), low.astype(object, copy=False)
+    return int(np.dot(T, low))
 
 
 def find_solution(
@@ -210,24 +239,46 @@ def find_solution(
     return None
 
 
+def _power_residues(x: np.ndarray, e: int, q: int) -> np.ndarray:
+    """x^e mod q for residues 0 <= x < q by left-to-right square-and-multiply,
+    each int64 product of two residues reduced at once (exact while q^2 < 2^63)."""
+    r = x
+    for bit in bin(e)[3:]:
+        r = r * r % q
+        if bit == "1":
+            r = r * x % q
+    return r
+
+
 def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> SingularSeriesEstimate:
     """Truncated singular series sum_{q <= q_max} phi(q)^-s * sum_{(h,q)=1} S(q,h)^s e(-hZ/q).
 
     S(q,h) runs over residues l coprime to q of e(h l^e / q); the residue
     h l^e mod q is computed exactly, S(q, .) for all h comes from one FFT of
     the residue-count vector, and each S is normalized by phi(q) before the
-    s-th power to keep magnitudes bounded.
+    s-th power to keep magnitudes bounded.  The units (q's prime factors'
+    multiples struck out), the power residues and the phase indices hZ mod q
+    are int64 arrays: residues below q are multiplied and reduced one step at a
+    time, and Z is reduced mod q first, so they are exact for every e and Z.
     """
+    if s < 1 or e < 1:
+        raise ValueError("need s >= 1, e >= 1")
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
+    spf = smallest_prime_factors(q_max).tolist()
     terms: list[complex] = []
     for q in range(1, q_max + 1):
-        units = [l for l in range(q) if gcd(l, q) == 1]
+        coprime = np.ones(q, dtype=bool)
+        m = q
+        while m > 1:  # strike the multiples of each prime factor of q
+            coprime[:: spf[m]] = False
+            m //= spf[m]
+        units = np.flatnonzero(coprime)
         phi = len(units)
-        counts = np.bincount([pow(l, e, q) for l in units], minlength=q).astype(np.float64)
+        counts = np.bincount(_power_residues(units, e, q), minlength=q).astype(np.float64)
         # FFT gives F[h] = sum_r counts[r] e(-hr/q); S(q,h) is its conjugate
-        S_over_phi = np.conj(np.fft.fft(counts))[np.array(units)] / phi
-        phase_idx = np.array([(h * Z) % q for h in units], dtype=np.float64)
+        S_over_phi = np.conj(np.fft.fft(counts))[units] / phi
+        phase_idx = (units * (Z % q) % q).astype(np.float64)
         phases = np.exp(-2j * np.pi * phase_idx / q)
         terms.append(complex((S_over_phi**s * phases).sum()))
     value = math.fsum(t.real for t in terms)

@@ -135,6 +135,17 @@ class TestWg:
         assert payload["normalization"] == "hua-standard"
         assert payload["value"] > 0.5
 
+    @pytest.mark.parametrize("action,message", [
+        ("series", "need s >= 1, e >= 1"),
+        ("count", "need Z >= 1, s >= 1, e >= 1"),
+        ("solve", "need Z >= 1, s >= 1, e >= 1"),
+    ])
+    @pytest.mark.parametrize("predicate", ["all", "p0"])
+    def test_zero_exponent_names_the_real_limit(self, capsys, action, message, predicate):
+        rc, out, err = run(capsys, ["wg", action, "--Z", "100", "--s", "3", "--e", "0",
+                                    "--qmax", "10", "--predicate", predicate])
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
 
 class TestDecompose:
     def test_zero_json_schema(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,58 @@ class TestCounts:
         escalated = [count_representations(Z, 4, 1) for Z in range(20, 60)]
         assert baseline == escalated
 
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_split_matches_nested_loop_oracle(self, s):
+        # odd and even s split into ceil(s/2) and floor(s/2) halves differently
+        odd = [p for p in primes_up_to(150) if p != 2]
+        table = naive_ordered_counts(150, s, 1, odd)
+        prepared = prime_powers(odd, 1)
+        for Z in range(1, 151):
+            assert count_representations(Z, s, 1, lambda p: p != 2) == table[Z], Z
+            assert count_representations(Z, s, 1, allowed=prepared) == table[Z], Z
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_escalation_at_the_final_product_only(self, monkeypatch, s):
+        # s = 2 builds no layer; for s = 3, 4 the one layer is built from T_1,
+        # whose cells are 1, and a guard of n passes its check (max(T) > guard // n)
+        # while the product's bound exceeds it
+        Zs = range(20, 200, 3)
+        baseline = [count_representations(Z, s, 1) for Z in Zs]
+        dots = []
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b: dots.append((a.dtype, b.dtype)) or dot(a, b))
+        for Z, expected in zip(Zs, baseline):
+            guard = 1 if s == 2 else len(primes_up_to(Z))
+            monkeypatch.setattr(waring_goldbach, "_INT64_GUARD", guard)
+            assert count_representations(Z, s, 1) == expected, Z
+        assert dots == [(np.dtype(object), np.dtype(object))] * len(Zs)
+
+    def test_at_most_two_layers_alive(self):
+        Z = 3 * 10**5
+        count_representations(Z, 8, 3)  # the shared sieve is grown outside the trace
+        tracemalloc.start()
+        try:
+            count_representations(Z, 8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * (Z + 1)
+
+    def test_plain_allowed_counts_each_prime_once(self):
+        assert count_representations(6, 2, 1, allowed=[3, 3]) == 1
+        assert count_representations(10, 2, 1, allowed=[7, 3, 5, 3, 7]) == 3
+        assert count_representations(9, 3, 1, allowed=[3, 3]) == 1
+        assert count_representations(15, 5, 1, allowed=[3, 3, 3]) == 1
+        assert find_solution(6, 2, 1, allowed=[3, 3]).primes == (3, 3)
+
+    def test_plain_allowed_rejects_a_non_prime(self):
+        with pytest.raises(ValueError, match="allowed entry 4 is not a prime"):
+            count_representations(8, 2, 1, allowed=[4])
+        with pytest.raises(ValueError, match="allowed entry 9 is not a prime"):
+            count_representations(20, 2, 1, allowed=[3, 9, 1, 4])
+        with pytest.raises(ValueError, match="allowed entry 1 is not a prime"):
+            find_solution(2, 2, 1, allowed=np.array([1, 2]))
+
 
 class TestFindSolution:
     def test_deterministic_greedy(self):
@@ -158,6 +211,18 @@ class TestFindSolution:
 class TestSingularSeries:
     def test_q1_term(self):
         assert singular_series(5, 3, 1, 1).value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s,e", [(3, 0), (0, 1), (-1, 3)])
+    def test_rejects_bad_s_or_e(self, s, e):
+        with pytest.raises(ValueError, match="need s >= 1, e >= 1"):
+            singular_series(5, s, e, 10)
+
+    def test_power_residues_match_pow(self):
+        for q in (1, 2, 12, 97, 1000):
+            residues = np.arange(q)
+            for e in (1, 2, 3, 7, 64, 10**6 + 3):
+                expected = [pow(x, e, q) for x in range(q)]
+                assert waring_goldbach._power_residues(residues, e, q).tolist() == expected
 
     def test_ternary_odd_positive(self):
         est = singular_series(101, 3, 1, 100)
