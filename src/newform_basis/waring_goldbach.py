@@ -6,14 +6,17 @@ number of ordered j-tuples of allowed prime e-th powers summing to v, and the
 ordered representation count is sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v],
 one dot product of the two half layers.  Layers and that product run in int64
 and escalate to exact Python integers if a bound check ever finds int64
-headroom too small.  The singular series evaluates each modulus q with exact
-integer residue arithmetic on arrays inside the exponential sums (counting
-power residues, then one FFT of length q) and accumulates the q-terms with
-compensated summation.
+headroom too small.  The singular series runs its exponential sums only at
+prime powers q = p^m, with exact integer residue arithmetic on arrays
+(counting power residues, then one FFT of length q); every composite q takes
+the product of its prime-power local factors, since the q-term is
+multiplicative in q by the Chinese remainder theorem.  The q-terms are
+accumulated with compensated summation.
 
 Prime lists are never rebuilt per call: without a pool they are cuts of the
 shared sieve (``primes.prime_array``); a pool prepared once by ``prime_powers``,
-as ``ConstructivePipeline`` does, is cut with one bisect.
+as ``ConstructivePipeline`` does, is checked there (strictly ascending primes)
+and then cut with one bisect per call.
 """
 
 from __future__ import annotations
@@ -98,9 +101,30 @@ class PrimePowers(NamedTuple):
     e: int
 
 
-def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
-    """Prepare distinct ascending ``primes`` (kept, not copied; for e = 1 they are the powers)."""
+def _pool(primes: Sequence[int], e: int) -> PrimePowers:
+    """Pair ascending distinct ``primes`` with their e-th powers, unchecked
+    (for e = 1 the primes are the powers)."""
     return PrimePowers(primes, primes if e == 1 else [p**e for p in primes], e)
+
+
+def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
+    """Prepare a pool of strictly ascending ``primes`` (kept, not copied).
+
+    The pool is checked once, here, so no solve over it pays again: entries
+    must ascend strictly and each must be a prime of the shared sieve
+    (``prime_array``), one vectorised ``searchsorted``; ``ValueError`` otherwise.
+    """
+    ps = np.asarray(primes, dtype=np.int64)
+    if len(ps):
+        down = np.flatnonzero(ps[1:] <= ps[:-1])
+        if len(down):
+            i = down[0]
+            raise ValueError(f"pool primes must ascend strictly: {ps[i]} then {ps[i + 1]}")
+        sieve = prime_array(max(int(ps[-1]), 2))  # never empty, so the clip lands on a prime
+        bad = sieve.take(np.searchsorted(sieve, ps), mode="clip") != ps
+        if bad.any():
+            raise ValueError(f"pool entry {ps[bad][0]} is not a prime")
+    return _pool(primes, e)
 
 
 def _allowed_powers(
@@ -114,13 +138,13 @@ def _allowed_powers(
         ps = prime_array(integer_nth_root(Z, e))
         if predicate is not None or e > 1:
             ps = [p for p in ps.tolist() if predicate is None or predicate(p)]
-        allowed = prime_powers(ps, e)
+        allowed = _pool(ps, e)
     elif not isinstance(allowed, PrimePowers):
         ps = list(dict.fromkeys(map(int, allowed)))  # exact ints, even from ndarrays; each once
         bad = next((p for p in ps if not is_prime(p)), None)
         if bad is not None:
             raise ValueError(f"allowed entry {bad} is not a prime")
-        allowed = prime_powers(sorted(ps), e)
+        allowed = _pool(sorted(ps), e)
     elif allowed.e != e:
         raise ValueError(f"pool prepared for e = {allowed.e}, not {e}")
     return allowed, bisect_right(allowed.powers, Z)
@@ -250,29 +274,30 @@ def _power_residues(x: np.ndarray, e: int, q: int) -> np.ndarray:
     return r
 
 
-def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> SingularSeriesEstimate:
-    """Truncated singular series sum_{q <= q_max} phi(q)^-s * sum_{(h,q)=1} S(q,h)^s e(-hZ/q).
+def _local_factors(Z: int, s: int, e: int, q_max: int) -> list[complex]:
+    """A[q] = phi(q)^-s * sum_{(h,q)=1} S(q,h)^s e(-hZ/q) for 1 <= q <= q_max (A[0] = 0).
 
-    S(q,h) runs over residues l coprime to q of e(h l^e / q); the residue
-    h l^e mod q is computed exactly, S(q, .) for all h comes from one FFT of
-    the residue-count vector, and each S is normalized by phi(q) before the
-    s-th power to keep magnitudes bounded.  The units (q's prime factors'
-    multiples struck out), the power residues and the phase indices hZ mod q
-    are int64 arrays: residues below q are multiplied and reduced one step at a
-    time, and Z is reduced mod q first, so they are exact for every e and Z.
+    Exponential sums run only at prime powers q = p^m: S(q,h) runs over the
+    residues l not divisible by p of e(h l^e / q), the residues h l^e mod q
+    are exact, S(q, .) for all h comes from one FFT of the residue-count
+    vector, and S is normalized by phi(q) before the s-th power to keep
+    magnitudes bounded.  The units, power residues and phase indices hZ mod q
+    are int64 arrays, each product of two residues below q reduced at once and
+    Z reduced mod q first, so they are exact for every e and Z.  A composite q
+    with p^m || q takes A[p^m] * A[q / p^m], both already known.
     """
-    if s < 1 or e < 1:
-        raise ValueError("need s >= 1, e >= 1")
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
     spf = smallest_prime_factors(q_max).tolist()
-    terms: list[complex] = []
-    for q in range(1, q_max + 1):
+    A = [0j, 1 + 0j][: q_max + 1]  # q = 1: phi = 1, one unit h = 0, S = 1
+    for q in range(2, q_max + 1):
+        p = spf[q]
+        rest = q // p
+        while rest % p == 0:
+            rest //= p
+        if rest > 1:  # q = p^m * rest with rest coprime to p
+            A.append(A[q // rest] * A[rest])
+            continue
         coprime = np.ones(q, dtype=bool)
-        m = q
-        while m > 1:  # strike the multiples of each prime factor of q
-            coprime[:: spf[m]] = False
-            m //= spf[m]
+        coprime[::p] = False
         units = np.flatnonzero(coprime)
         phi = len(units)
         counts = np.bincount(_power_residues(units, e, q), minlength=q).astype(np.float64)
@@ -280,7 +305,29 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
         S_over_phi = np.conj(np.fft.fft(counts))[units] / phi
         phase_idx = (units * (Z % q) % q).astype(np.float64)
         phases = np.exp(-2j * np.pi * phase_idx / q)
-        terms.append(complex((S_over_phi**s * phases).sum()))
+        A.append(complex((S_over_phi**s * phases).sum()))
+    return A
+
+
+def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> SingularSeriesEstimate:
+    """Truncated singular series sum_{q <= q_max} phi(q)^-s * sum_{(h,q)=1} S(q,h)^s e(-hZ/q).
+
+    The q-term is multiplicative in q (Chinese remainder theorem), so
+    exponential sums run only at prime powers and a composite q's term is the
+    product of its prime-power local factors (``_local_factors``).  Each
+    prime-power term is bit-identical to the direct evaluation; a composite
+    term differs from it only by the rounding of the product.  The real parts
+    are summed with ``math.fsum``.  The int64 residue products are exact only
+    while (q_max - 1)^2 < 2^63, so a larger q_max raises ``ValueError`` before
+    any modulus is evaluated.
+    """
+    if s < 1 or e < 1:
+        raise ValueError("need s >= 1, e >= 1")
+    if q_max < 1:
+        raise ValueError("q_max must be >= 1")
+    if (q_max - 1) ** 2 >= 2**63:
+        raise ValueError(f"q_max = {q_max} needs (q_max - 1)^2 < 2^63 for exact int64 residues")
+    terms = _local_factors(Z, s, e, q_max)[1:]
     value = math.fsum(t.real for t in terms)
     resid = abs(math.fsum(t.imag for t in terms))
     if resid > 1e-6 * (1.0 + abs(value)):

@@ -2,11 +2,16 @@
 
 The oracles here deliberately avoid the library's algorithms: the eta
 expansion below multiplies one (1 - q^j) factor at a time by direct
-convolution, and the representation counter enumerates ordered tuples with
-nested loops.  Expensive coefficient tables are session fixtures.
+convolution, the representation counter enumerates ordered tuples with
+nested loops, and the singular series sums its definition term by term with
+``cmath`` (no FFT, no multiplicativity).  Expensive coefficient tables are
+session fixtures.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import pytest
 
@@ -63,6 +68,22 @@ def brute_force_ordered_count(Z: int, s: int, e: int, primes: list[int]) -> int:
                     total += sum(1 for w3 in powers if w3 == rest)
         return total
     raise ValueError("oracle supports s <= 3")
+
+
+def naive_series_term(q: int, Z: int, s: int, e: int) -> complex:
+    """phi(q)^-s * sum_{(h,q)=1} S(q,h)^s e(-hZ/q), S(q,h) = sum_{(l,q)=1} e(h l^e / q),
+    by a direct double loop over units h and l."""
+    units = [x for x in range(q) if math.gcd(x, q) == 1]
+    total = 0j
+    for h in units:
+        S = sum(cmath.exp(2j * cmath.pi * (h * pow(l, e, q) % q) / q) for l in units)
+        total += (S / len(units)) ** s * cmath.exp(-2j * cmath.pi * (h * Z % q) / q)
+    return total
+
+
+def naive_singular_series(Z: int, s: int, e: int, q_max: int) -> float:
+    """Real part of the truncated singular series sum_{q <= q_max} of the direct terms."""
+    return sum(naive_series_term(q, Z, s, e) for q in range(1, q_max + 1)).real
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@
   replay compares the reprs, so every value must be bit-identical.
 
 Re-record only when an output change is intended:
-``PYTHONPATH=src python tests/test_golden_wg.py``.
+``PYTHONPATH=src python tests/test_golden_wg.py``.  Before it overwrites the
+file, the recorder prints the largest change of any series value relative to
+max(1, |old value|).
 """
 
 from __future__ import annotations
@@ -54,6 +56,16 @@ def test_series_replay_bit_identically():
 
 def _record() -> None:
     record = {"counts": counts(), "series": series()}
+    if GOLDEN.exists():
+        old = {tuple(key): float(value)
+               for *key, value in json.loads(GOLDEN.read_text(encoding="utf-8"))["series"]}
+        change = 0.0
+        for *key, value in record["series"]:
+            prior = old.get(tuple(key))
+            if prior is not None:
+                change = max(change, abs(float(value) - prior) / max(1.0, abs(prior)))
+        print(f"largest series change against {GOLDEN.name}: {change:.3e} of max(1, |old|)",
+              file=sys.stderr)
     GOLDEN.write_text(json.dumps(record) + "\n", encoding="utf-8")
     print(f"wrote {len(record['counts'])} counts and {len(record['series'])} series values "
           f"to {GOLDEN}", file=sys.stderr)

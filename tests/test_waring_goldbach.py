@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_ordered_count, naive_ordered_counts
+from conftest import (
+    brute_force_ordered_count,
+    naive_ordered_counts,
+    naive_series_term,
+    naive_singular_series,
+)
 from newform_basis import (
     MemoryGuardError,
     count_representations,
@@ -199,6 +204,26 @@ class TestFindSolution:
         with pytest.raises(ValueError):
             find_solution(10, 2, 3, allowed=prime_powers(pool, 1))
 
+    def test_prepared_pool_is_checked_once(self):
+        for bad, message in (([3, 3], "ascend strictly: 3 then 3"),
+                             ([5, 3], "ascend strictly: 5 then 3"),
+                             ([4, 5], "entry 4 is not a prime"),
+                             ([1], "entry 1 is not a prime"),
+                             (np.array([2, 3, 91]), "entry 91 is not a prime")):
+            with pytest.raises(ValueError, match=message):
+                prime_powers(bad, 1)
+        assert prime_powers([], 3).powers == []
+        assert prime_powers(np.array([2, 3, 5]), 1).primes.tolist() == [2, 3, 5]
+        assert count_representations(9, 3, 1, allowed=prime_powers([3], 1)) == 1
+
+    def test_unpooled_solves_skip_the_pool_check(self, monkeypatch):
+        # without a prepared pool nothing is checked twice: the sieve cut is
+        # prime by construction and a plain ``allowed`` has its own check
+        monkeypatch.setattr(waring_goldbach, "prime_powers", None)
+        plain = count_representations(100, 2, 1, allowed=primes_up_to(100))
+        assert count_representations(100, 2, 1) == plain
+        assert find_solution(1001, 3, 1) is not None
+
     def test_solution_reverifies(self):
         sol = find_solution(100, 4, 1)
         assert sol is not None and sol.verify()
@@ -223,6 +248,33 @@ class TestSingularSeries:
             for e in (1, 2, 3, 7, 64, 10**6 + 3):
                 expected = [pow(x, e, q) for x in range(q)]
                 assert waring_goldbach._power_residues(residues, e, q).tolist() == expected
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7])
+    @pytest.mark.parametrize("s", [2, 3, 8])
+    def test_matches_naive_oracle(self, s, e):
+        for Z in (1, 2, 99, 101, 3 * 10**5, 2**70 + 1):
+            for q_max in (1, 2, 12, 30, 40):
+                expected = naive_singular_series(Z, s, e, q_max)
+                value = singular_series(Z, s, e, q_max).value
+                assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (Z, q_max)
+
+    @pytest.mark.parametrize("Z,s,e", [(101, 3, 1), (2**70 + 1, 8, 3), (3 * 10**5, 2, 7)])
+    def test_composite_terms_are_products_of_local_factors(self, Z, s, e):
+        # the library evaluates exponential sums only at prime powers; its
+        # composite-q terms must equal the direct per-q evaluation
+        A = waring_goldbach._local_factors(Z, s, e, 900)
+        for q in (6, 12, 30, 36, 60, 210, 360, 900):
+            assert abs(A[q] - naive_series_term(q, Z, s, e)) <= 1e-12, q
+
+    def test_rejects_q_max_past_exact_residues(self, monkeypatch):
+        # (q_max - 1)^2 < 2^63 holds up to q_max = isqrt(2^63 - 1) + 1; the check
+        # runs before any modulus, so a stub stands in for the evaluation
+        monkeypatch.setattr(waring_goldbach, "_local_factors", lambda Z, s, e, q_max: [0j, 1 + 0j])
+        q_ok = math.isqrt(2**63 - 1) + 1
+        assert singular_series(5, 3, 1, q_ok).value == 1.0
+        for q_max in (q_ok + 1, 2**40):
+            with pytest.raises(ValueError, match=r"\(q_max - 1\)\^2 < 2\^63"):
+                singular_series(5, 3, 1, q_max)
 
     def test_ternary_odd_positive(self):
         est = singular_series(101, 3, 1, 100)
