@@ -84,14 +84,14 @@ def is_admissible(
     k: int,
     table: CoeffTable,
     method: str = METHOD_HASH,
-    max_sums: int = MAX_STORED_SUMS,
 ) -> AdmissibleCheck:
     """Test pairwise distinctness of all k-subset coefficient sums.
 
     ``hash-collision`` enumerates the C(|primes|, k) sorted subsets once,
     hashing sums.  ``brute-force`` compares every pair of subsets directly
     and is restricted to |primes| <= 12 (it exists as a cross-check oracle).
-    Returns the first collision found as a counterexample pair.
+    Returns the first collision found as a counterexample pair.  More than
+    ``MAX_STORED_SUMS`` subsets raise ``MemoryGuardError`` before any is hashed.
     """
     ps = sorted(primes)
     if len(set(ps)) != len(ps):
@@ -109,9 +109,10 @@ def is_admissible(
         return AdmissibleCheck(True)
     if method != METHOD_HASH:
         raise ValueError(f"unknown method {method!r}")
-    if comb(len(ps), k) > max_sums:
+    if comb(len(ps), k) > MAX_STORED_SUMS:
         raise MemoryGuardError(
-            f"C({len(ps)}, {k}) = {comb(len(ps), k)} subset sums exceed the {max_sums} budget"
+            f"C({len(ps)}, {k}) = {comb(len(ps), k)} subset sums exceed the "
+            f"{MAX_STORED_SUMS} budget"
         )
     seen: dict[int, tuple[int, ...]] = {}
     for t in itertools.combinations(ps, k):
@@ -127,12 +128,12 @@ class _SubsetSums:
     """Incrementally maintained j-subset coefficient sums, j = 0..k.
 
     ``by_size[j]`` maps each distinct j-sum to one subset with it;
-    ``repeats[j]`` records whether two j-subsets share a sum.
+    ``repeats[j]`` records whether two j-subsets share a sum.  The store
+    holds at most ``MAX_STORED_SUMS`` entries.
     """
 
-    def __init__(self, k: int, max_sums: int):
+    def __init__(self, k: int):
         self.k = k
-        self.max_sums = max_sums
         self.by_size: list[dict[int, tuple[int, ...]]] = [{0: ()}] + [{} for _ in range(k)]
         self.repeats = [False] * (k + 1)
         self.stored = 0
@@ -146,9 +147,9 @@ class _SubsetSums:
 
     def add(self, p: int, ap: int) -> None:
         added = sum(len(self.by_size[j - 1]) for j in range(1, self.k + 1))
-        if self.stored + added > self.max_sums:
+        if self.stored + added > MAX_STORED_SUMS:
             raise MemoryGuardError(
-                f"subset-sum store would exceed {self.max_sums} entries at candidate {p}"
+                f"subset-sum store would exceed {MAX_STORED_SUMS} entries at candidate {p}"
             )
         for j in range(self.k, 0, -1):
             target = self.by_size[j]
@@ -167,7 +168,6 @@ def greedy_maximal(
     k: int,
     table: CoeffTable,
     size_target: int | None = None,
-    max_sums: int = MAX_STORED_SUMS,
 ) -> AdmissibleSet:
     """Grow an admissible subset of the candidates in increasing prime order.
 
@@ -180,14 +180,14 @@ def greedy_maximal(
     cands = sorted(candidates)
     if len(cands) < 2 * k:
         raise InfeasibleError(f"need at least 2k = {2 * k} candidates, got {len(cands)}")
-    if size_target is None and comb(len(cands), k) > max_sums:
+    if size_target is None and comb(len(cands), k) > MAX_STORED_SUMS:
         # a full maximality pass could have to store this many k-subset sums
         raise MemoryGuardError(
             f"maximality over {len(cands)} candidates may need "
             f"C({len(cands)}, {k}) = {comb(len(cands), k)} stored sums "
-            f"(budget {max_sums}); pass size_target to grow partially"
+            f"(budget {MAX_STORED_SUMS}); pass size_target to grow partially"
         )
-    store = _SubsetSums(k, max_sums)
+    store = _SubsetSums(k)
     chosen: list[int] = []
     last = 0
     for p in cands:
@@ -248,7 +248,7 @@ def dyadic_construction(table: CoeffTable, k: int, l0: int) -> AdmissibleSet:
     return AdmissibleSet(k, tuple(picks), METHOD_HASH, picks[-1])
 
 
-def repair(p: int, S: AdmissibleSet, table: CoeffTable, max_sums: int = MAX_STORED_SUMS) -> RepairWitness:
+def repair(p: int, S: AdmissibleSet, table: CoeffTable) -> RepairWitness:
     """Express a(p) through 2k-1 primes of the maximal set S.
 
     Locates a k-subset collision of S u {p} involving p (meet-in-the-middle:
@@ -262,7 +262,7 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable, max_sums: int = MAX_STOR
     if p in members:
         raise ValueError(f"{p} is already a member of the admissible set")
     k = S.k
-    if comb(len(members), k) + comb(len(members), k - 1) > max_sums:
+    if comb(len(members), k) + comb(len(members), k - 1) > MAX_STORED_SUMS:
         raise MemoryGuardError("subset-sum enumeration exceeds the memory budget")
     sums_k = S.sums
     if sums_k is None:

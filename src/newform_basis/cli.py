@@ -214,9 +214,9 @@ def _cmd_wg(args) -> int:
 def _cmd_decompose(args) -> int:
     table = _table_for(args.form, args.nmax, args.cache_dir)
     if args.route == "constructive":
-        d = dec.decompose_constructive(table, args.Z, s=args.s)
+        d = dec.ConstructivePipeline(table, s=args.s).decompose(args.Z)
     else:
-        d = dec.decompose_search(table, args.Z, ell_max=args.lmax)
+        d = dec.SearchDecomposer(table).decompose(args.Z, args.lmax)
     if d is None:
         _emit(args, {"Z": args.Z, "found": False},
               ["no representation found within budget (not a proof of impossibility)"])

@@ -176,6 +176,9 @@ class CoeffTable:
         """a(n) for arbitrary n >= 1, factoring n when it exceeds n_max.
 
         Raises TableTooSmallError when n has a prime factor beyond the table.
+        The message names that prime only when trial division proves the
+        unfactored part of n prime; otherwise it says the part has no prime
+        factor <= n_max.
         """
         if n < 1:
             raise ValueError("coefficient index must be >= 1")
@@ -189,10 +192,13 @@ class CoeffTable:
                 return val * self.prime_power(s, 2)
             while i < len(primes) and primes[i] <= s and rem % primes[i]:
                 i += 1
-            if i == len(primes) or primes[i] > s:  # rem is a prime > n_max
-                raise TableTooSmallError(
-                    f"index {n} has prime factor {rem} beyond table bound {self.n_max}"
-                )
+            if i == len(primes) or primes[i] > s:  # no prime <= min(s, n_max) divides rem
+                if i < len(primes) or s <= self.n_max:  # every prime <= s tried: rem is prime
+                    raise TableTooSmallError(
+                        f"index {n} has prime factor {rem} beyond table bound {self.n_max}"
+                    )
+                part = f"index {n}" if rem == n else f"cofactor {rem} of index {n}"
+                raise TableTooSmallError(f"{part} has no prime factor <= {self.n_max}")
             p, e = primes[i], 0
             while rem % p == 0:
                 rem //= p
@@ -320,12 +326,13 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     return table
 
 
-def _spot_check(table: CoeffTable, count: int = 5) -> None:
-    """Cheap internal consistency check after a fresh expansion."""
+def _spot_check(table: CoeffTable) -> None:
+    """Cheap internal consistency check after a fresh expansion: the
+    prime-square identity at the first five primes not dividing the level."""
     pk = table.weight - 1
     checked = 0
     for p in table.primes():
-        if p * p > table.n_max or checked >= count:
+        if p * p > table.n_max or checked >= 5:
             break
         if table.level % p == 0:
             continue
@@ -497,10 +504,10 @@ def _coprime_sample_pairs(n_max: int, limit: int) -> Iterable[tuple[int, int]]:
                     return
 
 
-def check_identities(table: CoeffTable, mult_samples: int = 2000) -> IdentityReport:
+def check_identities(table: CoeffTable) -> IdentityReport:
     """Scan the whole table for violations of its defining identities.
 
-    Checks the prime-square identity, multiplicativity on sampled coprime
+    Checks the prime-square identity, multiplicativity on 2000 sampled coprime
     pairs, the squared coefficient bound at primes, and the divisor bound
     a(n)^2 <= d(n)^2 n^(2k-1) at every index.  Integer comparisons only.
     """
@@ -518,7 +525,7 @@ def check_identities(table: CoeffTable, mult_samples: int = 2000) -> IdentityRep
         if p * p <= table.n_max and ap * ap - table.a(p * p) != ppk:
             hecke.append((p, ap, table.a(p * p)))
     mult = []
-    for m, n in _coprime_sample_pairs(table.n_max, mult_samples):
+    for m, n in _coprime_sample_pairs(table.n_max, 2000):
         if table.a(m * n) != table.a(m) * table.a(n):
             mult.append((m, n))
     divisor = []

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissible import AdmissibleSet, RepairWitness, greedy_maximal, repair
 from .coefficients import CoeffTable
-from .errors import InfeasibleError, TableTooSmallError, VerificationError
+from .errors import InfeasibleError, NotFoundError, TableTooSmallError, VerificationError
 from .signs import first_negative, prime_sets
 from .waring_goldbach import find_solution, hua_constants, prime_powers
 
@@ -299,11 +299,6 @@ class ConstructivePipeline:
         return (self.C0 + 1) * self.k * self.s + 3 * self.C0 + 1 + max(0, shifts - 1)
 
 
-def decompose_constructive(table: CoeffTable, Z: int, s: int | None = None) -> Decomposition:
-    """One-shot constructive decomposition (build a ConstructivePipeline to reuse setup)."""
-    return ConstructivePipeline(table, s=s).decompose(Z)
-
-
 def _multiset_sums(vals: np.ndarray, h: int) -> np.ndarray:
     """Sums over non-decreasing index h-tuples of vals (C(len+h-1, h) entries)."""
     if h == 1:
@@ -317,11 +312,12 @@ class SearchDecomposer:
 
     The h-sum table over a pool size K holds the distinct values of
     a(i_1) + ... + a(i_h) over 1 <= i_1 <= ... <= i_h <= K, ascending, in
-    int64.  Depth ell = h1 + h2 meets the h1- and h2-sum tables, each over the
-    pool sized for its half to the half-sum budget and to int64 headroom;
-    at ell = 2, 3 the first half is instead every a(n), n <= n_max, as an
-    exact int.  Tables are cached by (h, K), so one instance amortizes across
-    many targets.
+    int64.  Depth ell = h1 + h2 <= MAX_MEET_DEPTH meets the h1- and h2-sum
+    tables, each over the pool sized for its half to HALF_SUM_BUDGET entries
+    and to int64 headroom; at ell = 2, 3 the first half is instead every a(n),
+    n <= n_max, as an exact int.  Tables are cached by (h, K), so one instance
+    amortizes across many targets.  The search ranges over every index of the
+    table; ``SearchDecomposer(table.truncate(m))`` searches indices <= m.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
@@ -333,14 +329,11 @@ class SearchDecomposer:
     """
 
     MAX_MEET_DEPTH = 8
+    HALF_SUM_BUDGET = 6_000_000
 
-    def __init__(
-        self, table: CoeffTable, n_max: int | None = None, half_sum_budget: int = 6_000_000
-    ):
+    def __init__(self, table: CoeffTable):
         self.table = table
-        self.n_max = table.n_max if n_max is None else min(n_max, table.n_max)
-        self.budget = half_sum_budget
-        self.values = np.array([table.a(n) for n in range(1, self.n_max + 1)], dtype=object)
+        self.values = np.array([table.a(n) for n in range(1, table.n_max + 1)], dtype=object)
         self._value_first_index: dict[int, int] = {}
         for i, v in enumerate(self.values, start=1):
             self._value_first_index.setdefault(v, i)
@@ -353,11 +346,12 @@ class SearchDecomposer:
         self._band_cache: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
     def _pool(self, h: int) -> int:
-        """Pool size K for h-sum tables: C(K+h-1, h) <= budget and h*|a(n)| <= 2^61."""
+        """Pool size K for h-sum tables: C(K+h-1, h) <= HALF_SUM_BUDGET, h*|a(n)| <= 2^61."""
         K = self._pools.get(h)
         if K is None:
-            K = min(self.n_max, int((self.budget * factorial(h)) ** (1.0 / h)) + 2)
-            while K > 1 and comb(K + h - 1, h) > self.budget:
+            budget = self.HALF_SUM_BUDGET
+            K = min(self.table.n_max, int((budget * factorial(h)) ** (1.0 / h)) + 2)
+            while K > 1 and comb(K + h - 1, h) > budget:
                 K -= 1
             limit = (1 << 61) // h
             K = min(K, int(np.searchsorted(self._prefix_abs_max, limit, side="right")))
@@ -444,20 +438,22 @@ class SearchDecomposer:
         return table
 
     def _baseline(self, Z: int, ell_max: int) -> Decomposition | None:
-        """Exact fallback from a(1) = 1 and the first negative coefficient."""
-        n_f = first_negative(self.table).n_f
-        if n_f > self.n_max:
-            return None
-        c0 = -self.table.a(n_f)
-        x = 0 if Z >= 0 else (-Z + c0 - 1) // c0  # ceil(-Z / c0)
-        y = Z + x * c0
+        """Exact fallback from a(1) = 1 and, for Z < 0, the first negative coefficient."""
+        if Z > 0:
+            x, y, terms = 0, Z, []
+        else:
+            try:
+                n_f = first_negative(self.table).n_f
+            except NotFoundError:
+                return None  # no negative coefficient to pad with
+            c0 = -self.table.a(n_f)
+            x = (-Z + c0 - 1) // c0  # ceil(-Z / c0)
+            y = Z + x * c0
+            terms = [(n_f, x)]
         if x + y > ell_max:
             return None
-        terms = []
         if y:
             terms.append((1, y))
-        if x:
-            terms.append((n_f, x))
         return Decomposition(Z, tuple(sorted(terms)), ROUTE_SEARCH, ell_max)
 
     def decompose(self, Z: int, ell_max: int = SEARCH_ELL_DEFAULT) -> Decomposition | None:
@@ -482,13 +478,3 @@ class SearchDecomposer:
                 terms = tuple(sorted(Counter(best).items()))
                 return Decomposition(Z, terms, ROUTE_SEARCH, ell_max)
         return self._baseline(Z, ell_max)
-
-
-def decompose_search(
-    table: CoeffTable,
-    Z: int,
-    n_max: int | None = None,
-    ell_max: int = SEARCH_ELL_DEFAULT,
-) -> Decomposition | None:
-    """One-shot search decomposition (instantiate SearchDecomposer for batches)."""
-    return SearchDecomposer(table, n_max=n_max).decompose(Z, ell_max)

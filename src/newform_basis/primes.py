@@ -11,6 +11,8 @@ from math import isqrt
 
 import numpy as np
 
+from .errors import MemoryGuardError
+
 # Witnesses proving primality for every n < 3.317e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -29,15 +31,23 @@ def sieve_bitmap(limit: int) -> np.ndarray:
 
 
 _SIEVE = (0, np.zeros(0, dtype=np.int64))  # shared (limit, primes <= limit), swapped whole
+# largest shared sieve: a 1 GiB bitmap, then 54.4M primes as int64 (435 MB)
+MAX_SIEVE = 1 << 30
 
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit: a read-only ascending int64 cut of the shared sieve,
-    which grows to the next power of two at or above the largest limit asked for."""
+    which grows to the next power of two at or above the largest limit asked for.
+
+    A limit that would grow the sieve past ``MAX_SIEVE`` raises
+    ``MemoryGuardError`` before anything is allocated.
+    """
     global _SIEVE
     sieved, primes = _SIEVE
     if limit > sieved:
         sieved = 1 << (limit - 1).bit_length()
+        if sieved > MAX_SIEVE:
+            raise MemoryGuardError(f"a prime sieve to {limit} exceeds the {MAX_SIEVE} limit")
         primes = np.flatnonzero(sieve_bitmap(sieved)).astype(np.int64, copy=False)
         primes.flags.writeable = False
         _SIEVE = (sieved, primes)

@@ -25,7 +25,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,17 +128,14 @@ def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
 
 
 def _allowed_powers(
-    Z: int, e: int, predicate: Callable[[int], bool] | None,
-    allowed: Sequence[int] | PrimePowers | None,
+    Z: int, e: int, allowed: Sequence[int] | PrimePowers | None
 ) -> tuple[PrimePowers, int]:
     """The pool and the count n of its powers <= Z: one bisect into a prepared pool,
     a plain ``allowed`` checked, de-duplicated and sorted first, else a cut of the
-    shared sieve (``prime_array``)."""
+    shared sieve (``prime_array``; exact Python ints for e > 1)."""
     if allowed is None:
         ps = prime_array(integer_nth_root(Z, e))
-        if predicate is not None or e > 1:
-            ps = [p for p in ps.tolist() if predicate is None or predicate(p)]
-        allowed = _pool(ps, e)
+        allowed = _pool(ps if e == 1 else ps.tolist(), e)
     elif not isinstance(allowed, PrimePowers):
         ps = list(dict.fromkeys(map(int, allowed)))  # exact ints, even from ndarrays; each once
         bad = next((p for p in ps if not is_prime(p)), None)
@@ -151,29 +148,26 @@ def _allowed_powers(
 
 
 def count_representations(
-    Z: int,
-    s: int,
-    e: int,
-    predicate: Callable[[int], bool] | None = None,
-    allowed: Sequence[int] | PrimePowers | None = None,
-    max_cells: int = _MAX_DP_CELLS,
+    Z: int, s: int, e: int, *, allowed: Sequence[int] | PrimePowers | None = None
 ) -> int:
     """Exact number of ordered s-tuples of allowed primes with sum of e-th powers Z.
 
-    Meets in the middle: with T_j[v] the number of ordered j-tuples of allowed
-    powers summing to v, the count is sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v],
-    one dot product.  Layer 1 places a 1 at each (distinct) allowed power; each
-    further layer is one shifted add per power, and T_floor(s/2) is the source
-    of the last one, so at most two layers of Z + 1 cells are alive.  A layer,
-    and the final product, runs in int64 only when a bound check shows that no
-    cell or partial sum can pass ``_INT64_GUARD``; otherwise it escalates to
-    exact Python integers, so the count is exact for every s and Z.
+    ``allowed`` defaults to every prime.  Meets in the middle: with T_j[v] the
+    number of ordered j-tuples of allowed powers summing to v, the count is
+    sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v], one dot product.  Layer 1 places
+    a 1 at each (distinct) allowed power; each further layer is one shifted add
+    per power, and T_floor(s/2) is the source of the last one, so at most two
+    layers of Z + 1 cells are alive.  A layer, and the final product, runs in
+    int64 only when a bound check shows that no cell or partial sum can pass
+    ``_INT64_GUARD``; otherwise it escalates to exact Python integers, so the
+    count is exact for every s and Z.  A layer of more than ``_MAX_DP_CELLS``
+    cells raises ``MemoryGuardError`` before anything is allocated.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
-    if Z + 1 > max_cells:
-        raise MemoryGuardError(f"count table of {Z + 1} cells exceeds the {max_cells} budget")
-    pool, n = _allowed_powers(Z, e, predicate, allowed)
+    if Z + 1 > _MAX_DP_CELLS:
+        raise MemoryGuardError(f"count table of {Z + 1} cells exceeds the {_MAX_DP_CELLS} budget")
+    pool, n = _allowed_powers(Z, e, allowed)
     if not n:
         return 0
     powers = pool.powers[:n]
@@ -202,20 +196,16 @@ def count_representations(
 
 
 def find_solution(
-    Z: int,
-    s: int,
-    e: int,
-    predicate: Callable[[int], bool] | None = None,
-    allowed: Sequence[int] | PrimePowers | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    Z: int, s: int, e: int, *, allowed: Sequence[int] | PrimePowers | None = None
 ) -> WGSolution | None:
     """One multiset of s allowed primes with sum of e-th powers Z, or None.
 
-    Greedy descent: the largest feasible prime power is tried first, failures
-    are memoized per (residual, terms-left) with the deepest index that failed,
-    and the search gives up after ``node_budget`` visited nodes.  The memo and
-    both prunings are sound: a None returned with budget left proves there is
-    no solution over the allowed primes; only a spent budget proves nothing.
+    ``allowed`` defaults to every prime.  Greedy descent: the largest feasible
+    prime power is tried first, failures are memoized per (residual, terms-left)
+    with the deepest index that failed, and the search gives up after
+    ``DEFAULT_NODE_BUDGET`` visited nodes.  The memo and both prunings are
+    sound: a None returned with budget left proves there is no solution over
+    the allowed primes; only a spent budget proves nothing.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -226,7 +216,7 @@ def find_solution(
             "solutions need not exist",
             stacklevel=2,
         )
-    (ps, powers, _), n = _allowed_powers(Z, e, predicate, allowed)
+    (ps, powers, _), n = _allowed_powers(Z, e, allowed)
     if not n:
         return None
     min_w = powers[0]
@@ -238,6 +228,7 @@ def find_solution(
 
     # Explicit DFS stack of [rem, terms, cap, cursor]; a frame's cap is its parent's pick.
     stack = [[Z, s, n - 1, first_cursor(Z, s, n - 1)]]
+    node_budget = DEFAULT_NODE_BUDGET
     while stack and node_budget > 0:
         rem, terms, cap, cur = stack[-1]
         if terms == 1:

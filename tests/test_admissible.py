@@ -15,6 +15,7 @@ from newform_basis import (
     prime_sets,
     repair,
 )
+from newform_basis import admissible
 
 
 class TestIsAdmissible:
@@ -39,9 +40,10 @@ class TestIsAdmissible:
         with pytest.raises(ValueError):
             is_admissible([3, 3, 5], 1, delta_1k)
 
-    def test_memory_guard(self, delta_1k):
+    def test_memory_guard(self, monkeypatch, delta_1k):
+        monkeypatch.setattr(admissible, "MAX_STORED_SUMS", 100)
         with pytest.raises(MemoryGuardError):
-            is_admissible(list(delta_1k.primes()[:40]), 3, delta_1k, max_sums=100)
+            is_admissible(list(delta_1k.primes()[:40]), 3, delta_1k)
 
     def test_hash_equals_brute_force(self, delta_1k, f11a_1k):
         rng = random.Random(8)
@@ -82,6 +84,21 @@ class TestGreedyMaximal:
         S = greedy_maximal(candidates, 1, f11a_1k, size_target=5)
         assert len(S) == 5
         assert S.check_bound <= candidates[5]
+
+    def test_maximality_memory_guard(self, monkeypatch, delta_1k):
+        # C(|candidates|, k) is checked before any sum is stored
+        candidates, _ = prime_sets(delta_1k, 200)
+        monkeypatch.setattr(admissible, "MAX_STORED_SUMS", 100)
+        monkeypatch.setattr(admissible, "_SubsetSums", None)
+        with pytest.raises(MemoryGuardError, match="maximality over 45 candidates"):
+            greedy_maximal(candidates, 2, delta_1k)
+
+    def test_store_memory_guard_under_size_target(self, monkeypatch, delta_1k):
+        # size_target skips the up-front check; the store guards itself
+        candidates, _ = prime_sets(delta_1k, 200)
+        monkeypatch.setattr(admissible, "MAX_STORED_SUMS", 20)
+        with pytest.raises(MemoryGuardError, match="store would exceed 20 entries"):
+            greedy_maximal(candidates, 2, delta_1k, size_target=40)
 
     def test_delta_k2_small(self, delta_1k):
         candidates, _ = prime_sets(delta_1k, 200)
@@ -165,6 +182,17 @@ class TestRepair:
         for p in candidates:
             if p not in S:
                 assert repair(p, S, table) == repair(p, bare, table)
+
+    def test_enumeration_memory_guard(self, monkeypatch, f11a_1k):
+        # k = 1 enumerates C(|S|, 1) + C(|S|, 0) = |S| + 1 sums
+        candidates, _ = prime_sets(f11a_1k, 300)
+        S = greedy_maximal(candidates, 1, f11a_1k)
+        p = next(p for p in candidates if p not in S)
+        monkeypatch.setattr(admissible, "MAX_STORED_SUMS", len(S) + 1)
+        assert repair(p, S, f11a_1k).verify(f11a_1k)
+        monkeypatch.setattr(admissible, "MAX_STORED_SUMS", len(S))
+        with pytest.raises(MemoryGuardError, match="enumeration exceeds"):
+            repair(p, S, f11a_1k)
 
     def test_member_rejected(self, f11a_1k):
         candidates, _ = prime_sets(f11a_1k, 300)

@@ -1,0 +1,46 @@
+"""Every tuning value of these entry points is a module or class constant, so
+each takes exactly the parameters a caller outside the tests sets.  A removed
+parameter cannot come back unnoticed."""
+
+import inspect
+
+import pytest
+
+import newform_basis as nb
+from newform_basis import admissible, coefficients, primes, waring_goldbach
+
+
+def parameters(fn) -> list[str]:
+    """Parameter names in order, with "*" before the keyword-only ones."""
+    names = []
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(p.name)
+    return names
+
+
+@pytest.mark.parametrize("fn, expected", [
+    (nb.count_representations, ["Z", "s", "e", "*", "allowed"]),
+    (nb.find_solution, ["Z", "s", "e", "*", "allowed"]),
+    (waring_goldbach._allowed_powers, ["Z", "e", "allowed"]),
+    (nb.singular_series, ["Z", "s", "e", "q_max"]),
+    (nb.is_admissible, ["primes", "k", "table", "method"]),
+    (nb.greedy_maximal, ["candidates", "k", "table", "size_target"]),
+    (nb.repair, ["p", "S", "table"]),
+    (admissible._SubsetSums, ["k"]),
+    (nb.SearchDecomposer, ["table"]),
+    (nb.SearchDecomposer.decompose, ["self", "Z", "ell_max"]),
+    (nb.ConstructivePipeline, ["table", "s"]),
+    (nb.check_identities, ["table"]),
+    (coefficients._spot_check, ["table"]),
+    (primes.prime_array, ["limit"]),
+], ids=lambda v: getattr(v, "__qualname__", None))
+def test_entry_point_parameters(fn, expected):
+    assert parameters(fn) == expected
+
+
+def test_one_shot_decompose_wrappers_are_gone():
+    for name in ("decompose_search", "decompose_constructive"):
+        assert not hasattr(nb, name) and name not in nb.__all__
+        assert not hasattr(nb.decomposer, name)

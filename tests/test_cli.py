@@ -113,6 +113,11 @@ class TestWg:
             )
         assert not recwarn.list  # printed, not raised as a Python warning
 
+    def test_huge_solve_is_refused_with_an_error_line(self, capsys):
+        rc, out, err = run(capsys, ["wg", "solve", "--Z", str(10**12), "--s", "2"])
+        assert (rc, out) == (1, "")
+        assert err == f"error: a prime sieve to {10**12} exceeds the {2**30} limit\n"
+
     def test_count(self, capsys):
         rc, out, _ = run(capsys, ["wg", "count", "--Z", "10", "--s", "2", "--e", "1"])
         assert rc == 0 and "count=3" in out

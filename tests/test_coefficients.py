@@ -141,6 +141,18 @@ class TestValueAt:
         with pytest.raises(TableTooSmallError):
             f11a_1k.value_at(1009 * 1013)  # both factors beyond n_max
 
+    @pytest.mark.parametrize("n, message", [
+        (101, "index 101 has prime factor 101 beyond table bound 100"),
+        (202, "index 202 has prime factor 101 beyond table bound 100"),
+        (10403, "index 10403 has no prime factor <= 100"),  # 101 * 103
+        (10201, "index 10201 has no prime factor <= 100"),  # 101^2
+        (20806, "cofactor 10403 of index 20806 has no prime factor <= 100"),
+    ])
+    def test_beyond_table_message_names_only_primes(self, f11a_1k, n, message):
+        with pytest.raises(TableTooSmallError) as exc:
+            f11a_1k.truncate(100).value_at(n)
+        assert str(exc.value) == message
+
     def test_index_bounds(self, delta_1k):
         with pytest.raises(ValueError):
             delta_1k.value_at(0)

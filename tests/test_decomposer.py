@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newform_basis import (
+    DELTA,
     FORM_11A,
     ConstructivePipeline,
     Decomposition,
@@ -12,8 +13,6 @@ from newform_basis import (
     SearchDecomposer,
     VerificationError,
     cf_bound,
-    decompose_constructive,
-    decompose_search,
     expand_eta_product,
     greedy_maximal,
     hua_constants,
@@ -122,8 +121,8 @@ class TestConstructive:
             assert d.bound == dn.bound
             assert verify_decomposition(dn, f11a_big).ok
 
-    def test_one_shot_wrapper(self, table_100k):
-        d = decompose_constructive(table_100k, 8777)
+    def test_fresh_pipeline_on_the_100k_table(self, table_100k):
+        d = ConstructivePipeline(table_100k).decompose(8777)
         assert verify_decomposition(d, table_100k).ok
 
     def test_delta_desk_scale_raises_cleanly(self, delta_1k):
@@ -235,7 +234,7 @@ class TestSearch:
 
     def test_single_value_hit_is_verified(self, delta_1k):
         # a wrong index from the value lookup must not leave the route unverified
-        sd = SearchDecomposer(delta_1k, n_max=50)
+        sd = SearchDecomposer(delta_1k.truncate(50))
         sd._value_first_index[252] = 4  # a(4) = -1472, not 252
         with pytest.raises(VerificationError):
             sd.decompose(252)
@@ -244,7 +243,7 @@ class TestSearch:
     def test_lexmin_matches_brute_force(self, delta_1k, f11a_1k, form):
         # 11a repeats values often, so many index tuples share one sum
         table = delta_1k if form == "delta" else f11a_1k
-        sd = SearchDecomposer(table, n_max=12)
+        sd = SearchDecomposer(table.truncate(12))
         for K in range(1, 13):
             for h in range(1, 5):
                 lexmin: dict[int, tuple[int, ...]] = {}
@@ -260,14 +259,22 @@ class TestSearch:
         d = SearchDecomposer(table).decompose(-127)
         assert d.ell == 4 and verify_decomposition(d, table).ok
 
-    def test_baseline_fallback_works(self, delta_1k):
+    def test_baseline_fallback_works(self, monkeypatch, delta_1k):
         # a searcher with no meet tables still produces the padding fallback
-        sd = SearchDecomposer(delta_1k, half_sum_budget=1)
+        monkeypatch.setattr(SearchDecomposer, "HALF_SUM_BUDGET", 1)
+        sd = SearchDecomposer(delta_1k)
         d = sd.decompose(-97)
         assert d is not None
         assert verify_decomposition(d, delta_1k).delta == 0
 
-    def test_one_shot_wrapper(self, delta_1k):
-        d = decompose_search(delta_1k, 229, n_max=50)
+    def test_truncated_table_bounds_the_indices(self, delta_1k):
+        d = SearchDecomposer(delta_1k.truncate(50)).decompose(229)
         assert d is not None
         assert verify_decomposition(d, delta_1k).delta == 0
+        assert max(n for n, _ in d.terms) <= 50
+
+    def test_baseline_without_negative_coefficients(self):
+        # a(1) = 1 pads any Z > 0; a negative Z has nothing to pad with
+        sd = SearchDecomposer(expand_eta_product(DELTA, 1))
+        assert sd.decompose(9, 20).terms == ((1, 9),)
+        assert sd.decompose(-1, 20) is None

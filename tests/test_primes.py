@@ -1,15 +1,17 @@
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newform_basis import primes
+from newform_basis import MemoryGuardError, primes
 from newform_basis.primes import (
     divisor_counts,
     integer_nth_root,
     is_prime,
     next_prime_below,
+    prime_array,
     primes_up_to,
     sieve_bitmap,
     smallest_prime_factors,
@@ -39,6 +41,20 @@ def test_shared_sieve_matches_trial_division(monkeypatch):
         got.append(-1)
         got[:1] = [4]
     assert primes._SIEVE[0] == 2**13
+
+
+def test_shared_sieve_is_bounded(monkeypatch):
+    # a stub bitmap records each growth, so no limit here allocates a real sieve
+    grown = []
+    monkeypatch.setattr(primes, "sieve_bitmap", lambda n: grown.append(n) or np.zeros(8, bool))
+    monkeypatch.setattr(primes, "_SIEVE", (0, primes._SIEVE[1][:0]))
+    prime_array(2**30)
+    assert grown == [2**30] == [primes.MAX_SIEVE]
+    with pytest.raises(MemoryGuardError, match=f"sieve to {2**30 + 1} exceeds"):
+        prime_array(2**30 + 1)
+    with pytest.raises(MemoryGuardError, match=f"sieve to {10**12} exceeds"):
+        prime_array(10**12)
+    assert grown == [2**30]
 
 
 def test_sieve_matches_trial_division():

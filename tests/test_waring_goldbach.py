@@ -72,14 +72,14 @@ class TestCounts:
             assert count_representations(Z, 2, 3) == 0  # Z < 2 * 2^3
 
     def test_parity_bookkeeping(self):
-        odd_only = lambda p: p != 2
+        odd = primes_up_to(60)[1:]
         for Z in range(6, 60, 2):  # even Z, s = 3: three odd primes sum odd
-            assert count_representations(Z, 3, 1, odd_only) == 0
-        assert count_representations(15, 3, 1, odd_only) > 0
+            assert count_representations(Z, 3, 1, allowed=odd) == 0
+        assert count_representations(15, 3, 1, allowed=odd) > 0
 
     def test_predicate_filter(self):
-        no_small = lambda p: p > 3
-        assert count_representations(10, 2, 1, no_small) == 1  # only (5, 5)
+        no_small = [p for p in primes_up_to(10) if p > 3]
+        assert count_representations(10, 2, 1, allowed=no_small) == 1  # only (5, 5)
 
     def test_memory_guard(self):
         with pytest.raises(MemoryGuardError):
@@ -98,7 +98,7 @@ class TestCounts:
         table = naive_ordered_counts(150, s, 1, odd)
         prepared = prime_powers(odd, 1)
         for Z in range(1, 151):
-            assert count_representations(Z, s, 1, lambda p: p != 2) == table[Z], Z
+            assert count_representations(Z, s, 1, allowed=odd) == table[Z], Z
             assert count_representations(Z, s, 1, allowed=prepared) == table[Z], Z
 
     @pytest.mark.parametrize("s", [2, 3, 4])
@@ -229,8 +229,9 @@ class TestFindSolution:
         assert sol is not None and sol.verify()
         assert sum(p**sol.e for p in sol.primes) == 100
 
-    def test_budget_exhaustion_returns_none(self):
-        assert find_solution(10**6 + 2, 2, 1, node_budget=1) is None
+    def test_budget_exhaustion_returns_none(self, monkeypatch):
+        monkeypatch.setattr(waring_goldbach, "DEFAULT_NODE_BUDGET", 1)
+        assert find_solution(10**6 + 2, 2, 1) is None
 
 
 class TestSingularSeries:
