@@ -1,7 +1,9 @@
 """Build exact coefficient tables for the two builtin forms and check them.
 
 Both builtins are eta products, so the whole q-expansion comes from sparse
-pentagonal-series multiplication.  The interesting part is that the same
+series: Jacobi's identity for each cube of eta, Euler's pentagonal series
+for what is left, one sparse-by-sparse product and exact int64 passes until
+the values outgrow int64.  The interesting part is that the same
 table can be rebuilt from its prime entries alone, which gives a free
 cross-check of every composite index.
 """

@@ -262,8 +262,13 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable) -> RepairWitness:
     if p in members:
         raise ValueError(f"{p} is already a member of the admissible set")
     k = S.k
-    if comb(len(members), k) + comb(len(members), k - 1) > MAX_STORED_SUMS:
-        raise MemoryGuardError("subset-sum enumeration exceeds the memory budget")
+    n = len(members)
+    needed = comb(n, k) + comb(n, k - 1)
+    if needed > MAX_STORED_SUMS:
+        raise MemoryGuardError(
+            f"subset-sum enumeration of C({n}, {k}) + C({n}, {k - 1}) = {needed} sums "
+            f"exceeds the {MAX_STORED_SUMS} budget"
+        )
     sums_k = S.sums
     if sums_k is None:
         sums_k = {}

@@ -4,14 +4,17 @@ Two construction routes are provided and are deliberately independent of
 each other so they can cross-check:
 
 * ``expand_eta_product`` multiplies out the eta-product q-expansion of a
-  builtin form with truncated power series arithmetic (sparse
-  pentagonal-number series, one pass per eta factor).
+  builtin form with truncated sparse series: each eta power splits into
+  Jacobi cubes and pentagonal-number series, the two longest multiply sparse
+  by sparse, and the rest run as shifted-add passes.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone,
   using multiplicativity and the prime-power recursion.
 
-All stored coefficients are exact integers.  The series multiplication
-runs over int64 residues modulo one or more ~49-bit primes and is
-reconstructed exactly afterwards; no floating point is involved anywhere.
+All stored coefficients are exact integers.  A pass runs in exact int64
+while the largest partial coefficient times the factor's weight sum stays
+below 2^63; once that headroom runs out, the remaining passes run over
+int64 residues modulo one or more ~49-bit primes and the values are lifted
+exactly afterwards.  No floating point is involved anywhere.
 
 Every table stores its values in one ndarray whose dtype the descriptor
 decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import (
     FormatError,
     IntegrityError,
+    MemoryGuardError,
     TableTooSmallError,
     VerificationError,
 )
@@ -49,6 +53,10 @@ _ETA_FACTORS: dict[str, tuple[tuple[int, int], ...]] = {
     BUILTIN_DELTA: ((1, 24),),
     BUILTIN_11A: ((1, 2), (11, 2)),
 }
+
+MAX_TABLE = 1 << 27  # longest coefficient table: one 1 GiB int64 array
+
+_INT64 = 1 << 63
 
 _BUILTIN_SHAPES = {BUILTIN_DELTA: (12, 1), BUILTIN_11A: (2, 11)}
 
@@ -227,21 +235,83 @@ class CoeffTable:
         return self._records
 
 
-def _pentagonal_terms(scale: int, limit: int) -> list[tuple[int, int]]:
-    """Signed exponents of prod (1 - q^(scale*n)) up to q^limit, constant term omitted."""
-    terms = []
-    j = 1
-    while True:
-        g1 = scale * (j * (3 * j - 1) // 2)
-        if g1 > limit:
-            break
-        sign = -1 if j % 2 else 1
-        terms.append((g1, sign))
-        g2 = scale * (j * (3 * j + 1) // 2)
-        if g2 <= limit:
-            terms.append((g2, sign))
-        j += 1
-    return terms
+def _jacobi_cube(scale: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """prod (1 - q^(scale*n))^3 up to q^limit as (exponents, weights), by Jacobi's
+    identity: sum_{k>=0} (-1)^k (2k+1) q^(scale*k(k+1)/2)."""
+    k = np.arange(isqrt(2 * (limit // scale)) + 1, dtype=np.int64)
+    e = scale * (k * (k + 1) // 2)
+    k = k[e <= limit]
+    return e[: len(k)], np.where(k % 2, -(2 * k + 1), 2 * k + 1)
+
+
+def _pentagonal(scale: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """prod (1 - q^(scale*n)) up to q^limit as (exponents, weights), by Euler's
+    pentagonal theorem; exponents ascend and include the constant term."""
+    j = np.arange(1, isqrt(limit // scale) + 2, dtype=np.int64)
+    e = scale * np.column_stack((j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)).ravel()
+    w = np.repeat(np.where(j % 2, -1, 1), 2)
+    keep = np.count_nonzero(e <= limit)
+    return np.concatenate(([0], e[:keep])), np.concatenate(([1], w[:keep]))
+
+
+def _sparse_series(factors, limit: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each (scale, power) as power // 3 Jacobi cubes and power % 3 pentagonal
+    series, longest first."""
+    series = []
+    for scale, power in factors:
+        series += [_jacobi_cube(scale, limit)] * (power // 3)
+        series += [_pentagonal(scale, limit)] * (power % 3)
+    return sorted(series, key=lambda s: -len(s[0]))
+
+
+def _sparse_product(first, second, n: int) -> np.ndarray:
+    """Exact int64 product of two sparse series up to q^(n-1): one scatter per
+    term of ``first``.  The exponents of ``second`` are distinct, so no index
+    repeats within a scatter."""
+    (e1, w1), (e2, w2) = first, second
+    if int(np.abs(w1).sum()) * int(np.abs(w2).sum()) >= _INT64:
+        raise ValueError(f"n_max = {n} too large for an exact int64 sparse product")
+    out = np.zeros(n, dtype=np.int64)
+    for g, w in zip(e1.tolist(), w1.tolist()):
+        cnt = np.searchsorted(e2, n - g)
+        out[g + e2[:cnt]] += w * w2[:cnt]
+    return out
+
+
+def _exact_headroom(cur: np.ndarray, weights: np.ndarray) -> bool:
+    """True when max|cur| * sum|w| < 2^63, so a pass by these weights stays exact."""
+    return max(int(cur.max()), -int(cur.min())) * int(np.abs(weights).sum()) < _INT64
+
+
+def _shift_pass(cur, out, series, scratch, m: int | None = None) -> None:
+    """out = cur times the sparse series, truncated to len(cur), in int64.
+
+    With a modulus m, cur holds residues in [0, m) and so does out on return;
+    out is reduced whenever the running bound sum|w| (m - 1) would reach 2^63.
+    A weight other than +-1 multiplies into ``scratch``.
+    """
+    n = len(cur)
+    exps, weights = series[0].tolist(), series[1].tolist()
+    if m is not None and (max(map(abs, weights)) + 1) * (m - 1) >= _INT64:
+        raise ValueError(f"n_max = {n} too large for the residue passes modulo {m}")
+    out[:] = 0
+    room = 0
+    for g, w in zip(exps, weights):
+        if m is not None:
+            room += abs(w) * (m - 1)
+            if room >= _INT64:
+                out %= m
+                room = (abs(w) + 1) * (m - 1)
+        if w == 1:
+            out[g:] += cur[: n - g]
+        elif w == -1:
+            out[g:] -= cur[: n - g]
+        else:
+            part = scratch[: n - g]
+            np.multiply(cur[: n - g], w, out=part)
+            out[g:] += part
+    if m is not None:
+        out %= m
 
 
 _MODULUS_POOL: list[int] = []
@@ -261,25 +331,32 @@ def _moduli_for(bound: int) -> list[int]:
     return moduli
 
 
-def _expand_residues(factors, n_max: int, m: int) -> np.ndarray:
-    """Product series of the eta factors modulo m, as int64 residues."""
-    limit = n_max - 1  # degree of the series before the leading q shift
-    cur = np.zeros(n_max, dtype=np.int64)
-    cur[0] = 1
-    for scale, power in factors:
-        terms = _pentagonal_terms(scale, limit)
-        if (len(terms) + 1) * (m - 1) >= 2**63:
-            raise ValueError("n_max too large for the modular series backend")
-        for _ in range(power):
-            out = cur.copy()
-            for g, sign in terms:
-                if sign > 0:
-                    out[g:] += cur[: n_max - g]
-                else:
-                    out[g:] -= cur[: n_max - g]
-            out %= m
-            cur = out
-    return cur
+def _eta_values(factors, n_max: int, bound: int) -> np.ndarray:
+    """Coefficients 1..n_max of q * prod (1 - q^(scale*n))^power, each |a(n)| <= bound.
+
+    The two longest sparse series multiply exactly; the others run as exact
+    int64 passes while the headroom lasts, then once per CRT modulus.
+    """
+    first, second, *rest = _sparse_series(factors, n_max - 1)
+    cur = _sparse_product(first, second, n_max)
+    spare = np.empty_like(cur)
+    weighted = any(int(np.abs(w).max()) > 1 for _, w in rest)
+    scratch = np.empty_like(cur) if weighted else None
+    while rest and _exact_headroom(cur, rest[0][1]):
+        _shift_pass(cur, spare, rest.pop(0), scratch)
+        cur, spare = spare, cur
+    if not rest:
+        return cur
+    moduli = _moduli_for(bound)
+    residue_rows = []
+    for m in moduli:
+        res = cur % m
+        for series in rest:
+            _shift_pass(res, spare, series, scratch, m)
+            res, spare = spare, res
+        residue_rows.append(res)
+    del cur, spare, scratch  # release the int64 working arrays before the object lift
+    return _crt_values(residue_rows, moduli)
 
 
 def _crt_values(residue_rows: list[np.ndarray], moduli: list[int]) -> np.ndarray:
@@ -304,24 +381,36 @@ def _crt_values(residue_rows: list[np.ndarray], moduli: list[int]) -> np.ndarray
     return x
 
 
+def _check_table_size(n_max: int) -> None:
+    """Reject n_max < 1 and, before anything is allocated, n_max > MAX_TABLE."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if n_max > MAX_TABLE:
+        raise MemoryGuardError(
+            f"a coefficient table to n_max = {n_max} exceeds the {MAX_TABLE} limit"
+        )
+
+
 def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     """Coefficient table of a builtin form by direct eta-product expansion.
 
+    Each eta power splits into Jacobi cubes and pentagonal series.  The two
+    longest multiply sparse by sparse; the rest run as shifted-add passes,
+    exact in int64 while max|partial| * sum|w| < 2^63 and modulo CRT primes
+    after.  The level-11 form never leaves int64.
+
     Rejects non-builtin sources (load the prime table and use hecke_extend
-    instead) and n_max < 1.
+    instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError
+    before anything is allocated.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_table_size(n_max)
     factors = _ETA_FACTORS.get(descriptor.source)
     if factors is None:
         raise ValueError(
             f"source {descriptor.source!r} has no eta product; ingest it with load_newform"
         )
     bound = 2 * n_max**descriptor.k  # |a(n)| <= d(n) n^((2k-1)/2) < 2 n^k
-    moduli = _moduli_for(bound)
-    residue_rows = [_expand_residues(factors, n_max, m) for m in moduli]
-    values = _crt_values(residue_rows, moduli)
-    table = CoeffTable(descriptor, n_max, values)
+    table = CoeffTable(descriptor, n_max, _eta_values(factors, n_max, bound))
     _spot_check(table)
     return table
 
@@ -346,10 +435,10 @@ def hecke_extend(
 ) -> CoeffTable:
     """Full table from prime coefficients via multiplicativity and recursion.
 
-    ``prime_coeffs`` must cover every prime <= n_max.
+    ``prime_coeffs`` must cover every prime <= n_max.  n_max > ``MAX_TABLE``
+    raises MemoryGuardError before anything is allocated.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_table_size(n_max)
     for q in primes_up_to(n_max):
         if q not in prime_coeffs:
             raise IntegrityError(f"missing prime coefficient a({q})")

@@ -191,8 +191,12 @@ class TestRepair:
         monkeypatch.setattr(admissible, "MAX_STORED_SUMS", len(S) + 1)
         assert repair(p, S, f11a_1k).verify(f11a_1k)
         monkeypatch.setattr(admissible, "MAX_STORED_SUMS", len(S))
-        with pytest.raises(MemoryGuardError, match="enumeration exceeds"):
+        with pytest.raises(MemoryGuardError) as err:
             repair(p, S, f11a_1k)
+        assert str(err.value) == (
+            f"subset-sum enumeration of C({len(S)}, 1) + C({len(S)}, 0) = {len(S) + 1} sums "
+            f"exceeds the {len(S)} budget"
+        )
 
     def test_member_rejected(self, f11a_1k):
         candidates, _ = prime_sets(f11a_1k, 300)

@@ -118,6 +118,13 @@ class TestWg:
         assert (rc, out) == (1, "")
         assert err == f"error: a prime sieve to {10**12} exceeds the {2**30} limit\n"
 
+    def test_huge_predicate_table_is_refused_with_an_error_line(self, capsys):
+        argv = ["wg", "count", "--Z", str(10**12), "--s", "2", "--predicate", "p0"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        limit = f"a coefficient table to n_max = {10**12 + 1} exceeds the {2**27} limit"
+        assert err == f"error: {limit}\n"
+
     def test_count(self, capsys):
         rc, out, _ = run(capsys, ["wg", "count", "--Z", "10", "--s", "2", "--e", "1"])
         assert rc == 0 and "count=3" in out

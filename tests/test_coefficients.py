@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -12,6 +14,7 @@ from newform_basis import (
     CoeffTable,
     FormatError,
     IntegrityError,
+    MemoryGuardError,
     NewformDescriptor,
     TableTooSmallError,
     builtin_descriptor,
@@ -21,6 +24,7 @@ from newform_basis import (
     load_newform,
     save_prime_table,
 )
+from newform_basis import coefficients
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,124 @@ class TestEtaExpansion:
         assert [t.a(n) for n in range(1, 101)] == [delta_1k.a(n) for n in range(1, 101)]
         with pytest.raises(ValueError):
             delta_1k.truncate(0)
+
+
+def _dense(series, n):
+    exps, weights = series
+    out = np.zeros(n, dtype=np.int64)
+    out[exps] = weights
+    return out.tolist()
+
+
+def _digest(values):
+    if values.dtype == object:
+        return hashlib.sha256(",".join(map(str, values.tolist())).encode()).hexdigest()
+    return hashlib.sha256(values.astype("<i8").tobytes()).hexdigest()
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("scale", [1, 11])
+    def test_jacobi_cube_matches_naive(self, scale):
+        assert _dense(coefficients._jacobi_cube(scale, 299), 300) == naive_eta_coefficients(
+            ((scale, 3),), 300
+        )
+
+    @pytest.mark.parametrize("scale", [1, 11])
+    def test_pentagonal_matches_naive(self, scale):
+        assert _dense(coefficients._pentagonal(scale, 299), 300) == naive_eta_coefficients(
+            ((scale, 1),), 300
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_sparse_product_matches_nested_loops(self, n):
+        first = coefficients._jacobi_cube(1, n - 1)
+        second = coefficients._pentagonal(2, n - 1)
+        expected = [0] * n
+        for g1, w1 in zip(*first):
+            for g2, w2 in zip(*second):
+                if g1 + g2 < n:
+                    expected[g1 + g2] += int(w1) * int(w2)
+        assert coefficients._sparse_product(first, second, n).tolist() == expected
+
+    @pytest.mark.parametrize("exact_passes", [0, 1, 2, 3])
+    # passes: the factors left after the sparse product (8 cubes - 2; 4 pentagonal series - 2)
+    @pytest.mark.parametrize("name,descriptor,passes", [("delta", DELTA, 6), ("11a", FORM_11A, 2)])
+    def test_residue_tier_after_exact_passes(
+        self, monkeypatch, name, descriptor, passes, exact_passes
+    ):
+        # the headroom test grants `exact_passes` passes, then the residue tier takes over
+        grants = iter([True] * exact_passes)
+        monkeypatch.setattr(coefficients, "_exact_headroom", lambda cur, w: next(grants, False))
+        moduli = []
+        shift_pass = coefficients._shift_pass
+
+        def spy(cur, out, series, scratch, m=None):
+            moduli.append(m)
+            shift_pass(cur, out, series, scratch, m)
+
+        monkeypatch.setattr(coefficients, "_shift_pass", spy)
+        table = expand_eta_product(descriptor, 200)
+        assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], 200)
+        exact = min(exact_passes, passes)
+        assert moduli.count(None) == exact
+        n_moduli = len(coefficients._moduli_for(2 * 200**descriptor.k))
+        assert len(moduli) - exact == (passes - exact) * n_moduli
+
+    def test_residue_pass_reduces_periodically(self):
+        rng = np.random.default_rng(7)
+        m = coefficients._moduli_for(1)[0]
+        assert 2**48 < m < 2**49
+        n = 500
+        exps = np.sort(rng.choice(n, size=60, replace=False))
+        weights = rng.integers(1, 3000, size=60) * rng.choice([-1, 1], size=60)
+        weights[::7] = rng.choice([-1, 1], size=len(weights[::7]))
+        assert np.abs(weights).sum() > 2**15
+        cur = rng.integers(0, m, size=n, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
+        coefficients._shift_pass(cur, out, (exps, weights), np.empty(n, dtype=np.int64), m)
+        exact = np.zeros(n, dtype=object)
+        wide = cur.astype(object)
+        for g, w in zip(exps.tolist(), weights.tolist()):
+            exact[g:] += w * wide[: n - g]
+        assert out.tolist() == (exact % m).tolist()
+
+    def test_int64_guards(self):
+        m = coefficients._moduli_for(1)[0]
+        series = (np.array([0, 1]), np.array([1, 2**14]))
+        cur = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="too large for the residue passes"):
+            coefficients._shift_pass(cur, cur.copy(), series, cur.copy(), m)
+        wide = (np.array([0]), np.array([2**32]))
+        with pytest.raises(ValueError, match="too large for an exact int64 sparse product"):
+            coefficients._sparse_product(wide, wide, 4)
+
+    def test_tables_pinned_by_digest(self, delta_100k):
+        # recorded from an independent build: one pentagonal pass per unit of power and modulus
+        assert _digest(delta_100k._values) == (
+            "eb660e7a4275e4b585754de8e3ce645f89b5844062d0490937b76e788276a318"
+        )
+        assert _digest(expand_eta_product(FORM_11A, 10**6)._values) == (
+            "b5c2edbe7aa465c17ca3c039f6634df1ed8c75be2e7824f9bcbc5ed484ef1c4c"
+        )
+
+    def test_peak_memory_is_two_arrays(self):
+        n = 2 * 10**5
+        tracemalloc.start()
+        try:
+            expand_eta_product(FORM_11A, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * n
+
+    def test_table_limit_is_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "MAX_TABLE", 1000)
+        message = "a coefficient table to n_max = 1001 exceeds the 1000 limit"
+        with pytest.raises(MemoryGuardError, match=message):
+            expand_eta_product(DELTA, 1001)
+        with pytest.raises(MemoryGuardError, match=message):
+            hecke_extend(DELTA, {}, 1001)
+        assert expand_eta_product(DELTA, 1000).n_max == 1000
 
 
 class TestHeckeExtend:
