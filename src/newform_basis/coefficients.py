@@ -14,7 +14,10 @@ All stored coefficients are exact integers.  A pass runs in exact int64
 while the largest partial coefficient times the factor's weight sum stays
 below 2^63; once that headroom runs out, the remaining passes run over
 int64 residues modulo one or more ~49-bit primes and the values are lifted
-exactly afterwards.  No floating point is involved anywhere.
+exactly afterwards.  No floating point produces a value.  The size checks
+(``check_identities`` and the loader's Deligne check) compare in float64 only
+as a screen: every entry the screen does not clear is decided in exact
+integers.
 
 Every table stores its values in one ndarray whose dtype the descriptor
 decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
@@ -24,9 +27,10 @@ Python ints) otherwise.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Iterable, Mapping, Sequence
+from math import isqrt
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +42,11 @@ from .errors import (
     VerificationError,
 )
 from .primes import (
+    MAX_SIEVE,
     divisor_counts,
     is_prime,
     next_prime_below,
+    prime_array,
     primes_up_to,
     smallest_prime_factors,
 )
@@ -196,8 +202,10 @@ class CoeffTable:
         val, rem, i = 1, n, 0
         while rem > self.n_max:
             s = isqrt(rem)
-            if s * s == rem and s <= self.n_max and is_prime(s):
-                return val * self.prime_power(s, 2)
+            if s * s == rem and s <= self.n_max:
+                j = bisect_left(primes, s)
+                if j < len(primes) and primes[j] == s:
+                    return val * self.prime_power(s, 2)
             while i < len(primes) and primes[i] <= s and rem % primes[i]:
                 i += 1
             if i == len(primes) or primes[i] > s:  # no prime <= min(s, n_max) divides rem
@@ -489,10 +497,16 @@ def load_newform(path: str | os.PathLike) -> tuple[NewformDescriptor, dict[int, 
     Raises FormatError (with line number) on malformed input and
     IntegrityError on coverage gaps or coefficients failing the squared
     Deligne comparison a(p)^2 <= 4 p^(2k-1) at p not dividing the level.
+    Every header precedes the first coefficient line, so that line builds a
+    primality lookup to pmax from the shared sieve (``prime_array``); a
+    prime above pmax, or any prime when pmax is missing or beyond
+    ``MAX_SIEVE``, is tested by ``is_prime``.  The Deligne comparison is
+    screened in float64 and decided exactly, like ``check_identities``.
     """
     headers: dict[str, int] = {}
     coeffs: dict[int, int] = {}
     last_p = 0
+    flags = None  # flags[n]: n is prime, for 0 <= n <= pmax
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -514,7 +528,12 @@ def load_newform(path: str | os.PathLike) -> tuple[NewformDescriptor, dict[int, 
                 raise FormatError("expected '<p> <a(p)>'", lineno)
             p = _parse_int(parts[0], lineno)
             ap = _parse_int(parts[1], lineno)
-            if not is_prime(p):
+            if flags is None:  # every header is known by the first coefficient line
+                limit = headers.get("pmax", 0)
+                limit = limit if 0 <= limit <= MAX_SIEVE else 0
+                flags = np.zeros(limit + 1, dtype=bool)
+                flags[prime_array(limit)] = True
+            if not (flags[p] if 0 <= p < len(flags) else is_prime(p)):
                 raise FormatError(f"{p} is not prime", lineno)
             if p <= last_p:
                 raise FormatError(f"primes out of order at {p}", lineno)
@@ -531,10 +550,11 @@ def load_newform(path: str | os.PathLike) -> tuple[NewformDescriptor, dict[int, 
     for q in primes_up_to(pmax):
         if q not in covered:
             raise IntegrityError(f"coverage gap: prime {q} <= pmax={pmax} missing")
-    bound_exp = descriptor.weight - 1
-    for p, ap in coeffs.items():
-        if descriptor.level % p and ap * ap > 4 * p**bound_exp:
-            raise IntegrityError(f"a({p}) = {ap} violates the coefficient size bound; corrupt data")
+    ps = [p for p in coeffs if descriptor.level % p]
+    bad = _size_violations(ps, [coeffs[p] for p in ps], [2] * len(ps), descriptor.weight - 1)
+    if bad:
+        p, ap = bad[0]
+        raise IntegrityError(f"a({p}) = {ap} violates the coefficient size bound; corrupt data")
     return descriptor, coeffs, pmax
 
 
@@ -578,50 +598,79 @@ class IdentityReport:
         )
 
 
-def _coprime_sample_pairs(n_max: int, limit: int) -> Iterable[tuple[int, int]]:
-    """Deterministic spread of coprime pairs (m, n) with m*n <= n_max."""
-    count = 0
-    for m in range(2, 64):
-        if m * 2 > n_max:
-            break
+def _coprime_sample_pairs(n_max: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic spread of coprime pairs (m, n) with m < n and m*n <= n_max:
+    for m = 2..63 in turn, every step-th n above m that is coprime to m.  The
+    first ``limit`` pairs, as two int64 arrays."""
+    ms = np.arange(2, min(64, n_max // 2 + 1))
+    ns = []
+    for m in ms.tolist():
         step = max(1, (n_max // m) // max(1, limit // 48))
-        for n in range(m + 1, n_max // m + 1, step):
-            if gcd(m, n) == 1:
-                yield m, n
-                count += 1
-                if count >= limit:
-                    return
+        n = np.arange(m + 1, n_max // m + 1, step)
+        ns.append(n[np.gcd(m, n) == 1])
+    ms = np.repeat(ms, [len(n) for n in ns])
+    return ms[:limit], (np.concatenate(ns) if ns else ms)[:limit]
+
+
+_SCREEN_MARGIN = 1e-9  # relative; far above the few roundings of the conversions, ** and products
+_SCREEN_BLOCK = 1 << 13  # entries screened at a time, so the float64 temporaries stay small
+
+
+def _as_float(values) -> np.ndarray:
+    """float64 copy of exact ints; all inf when one leaves the float64 range,
+    so that none of them passes the screen and each is decided exactly."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.full(len(values), np.inf)
+
+
+def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
+    """The pairs (n, a) with a^2 > c^2 n^pk, in the given order, as Python ints.
+
+    float64 only screens: |a| < c n^(pk/2) (1 - margin) with a finite bound
+    clears an entry, and every entry it does not clear is decided in exact
+    integers.
+    """
+    out = []
+    for lo in range(0, len(ns), _SCREEN_BLOCK):
+        block = slice(lo, lo + _SCREEN_BLOCK)
+        with np.errstate(over="ignore"):  # an overflowed bound is inf, never cleared
+            bound = np.power(_as_float(ns[block]), pk / 2)
+            bound *= c[block]
+            bound *= 1 - _SCREEN_MARGIN
+            a = _as_float(values[block])
+            cleared = (np.abs(a, out=a) < bound) & np.isfinite(bound)
+        for i in (np.flatnonzero(~cleared) + lo).tolist():
+            n, an, cn = int(ns[i]), int(values[i]), int(c[i])
+            if an * an > cn * cn * n**pk:
+                out.append((n, an))
+    return out
 
 
 def check_identities(table: CoeffTable) -> IdentityReport:
     """Scan the whole table for violations of its defining identities.
 
     Checks the prime-square identity, multiplicativity on 2000 sampled coprime
-    pairs, the squared coefficient bound at primes, and the divisor bound
-    a(n)^2 <= d(n)^2 n^(2k-1) at every index.  Integer comparisons only.
+    pairs, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at primes not
+    dividing the level, and the divisor bound a(n)^2 <= d(n)^2 n^(2k-1) at
+    every index.  The identities compare exact integers; the two bounds are
+    screened in float64 and every entry the screen does not clear is decided
+    in exact integers (``_size_violations``).
     """
-    level = table.level
-    pk = table.weight - 1
+    vals = table._values
+    n_max, level, pk = table.n_max, table.level, table.weight - 1
+    d = divisor_counts(n_max)
+    divisor = _size_violations(np.arange(1, n_max + 1), vals, d[1:], pk)
+    # d(p) = 2, so at a prime the divisor bound is the Deligne bound
+    deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
     hecke = []
-    deligne = []
-    for p in table.primes():
-        if level % p == 0:
-            continue
-        ap = table.a(p)
-        ppk = p**pk
-        if ap * ap > 4 * ppk:
-            deligne.append((p, ap))
-        if p * p <= table.n_max and ap * ap - table.a(p * p) != ppk:
-            hecke.append((p, ap, table.a(p * p)))
-    mult = []
-    for m, n in _coprime_sample_pairs(table.n_max, 2000):
-        if table.a(m * n) != table.a(m) * table.a(n):
-            mult.append((m, n))
-    divisor = []
-    d = divisor_counts(table.n_max)
-    for n in range(1, table.n_max + 1):
-        an = table.a(n)
-        dn = int(d[n])
-        if an * an > dn * dn * n**pk:
-            divisor.append((n, an))
-    return IdentityReport(table.n_max, hecke, mult, deligne, divisor)
+    for p in prime_array(isqrt(n_max)).tolist():
+        ap, app = int(vals[p - 1]), int(vals[p * p - 1])
+        if level % p and ap * ap - app != p**pk:
+            hecke.append((p, ap, app))
+    m, n = _coprime_sample_pairs(n_max, 2000)
+    am, an, amn = (vals[i - 1].astype(object) for i in (m, n, m * n))  # exact products
+    bad = amn != am * an
+    mult = list(zip(m[bad].tolist(), n[bad].tolist()))
+    return IdentityReport(n_max, hecke, mult, deligne, divisor)

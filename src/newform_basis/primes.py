@@ -1,8 +1,8 @@
 """Prime sieves and small number-theoretic helpers.
 
 Everything here is exact integer arithmetic; numpy is used only for sieve
-bitmaps and smallest-prime-factor tables, never for values that could
-overflow int64.
+bitmaps, smallest-prime-factor and divisor-count tables, never for values
+that could overflow int64.
 """
 
 from __future__ import annotations
@@ -70,10 +70,27 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
 
 def divisor_counts(limit: int) -> np.ndarray:
-    """Array d with d[n] = number of divisors of n (d[0] = 0)."""
-    d = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(1, limit + 1):
-        d[i::i] += 1
+    """Array d with d[n] = number of divisors of n (d[0] = 0).
+
+    d is multiplicative with d(p^e) = e + 1.  Each prime p <= sqrt(limit)
+    adds its exponent over its multiples, multiplies them by e + 1 and is
+    divided out of a running cofactor; a cofactor above 1 left at the end is
+    one prime, which doubles the count.  No loop runs per n.
+    """
+    d = np.ones(limit + 1, dtype=np.int64)
+    d[0] = 0
+    rem = np.arange(limit + 1, dtype=np.min_scalar_type(limit))  # smallest dtype holding limit
+    for p in prime_array(isqrt(limit)).tolist():
+        e = np.ones(limit // p, dtype=np.int8)  # exponent of p in p, 2p, 3p, ...
+        rem[p::p] //= p
+        q = p
+        while q <= limit // p:
+            e[q - 1:: q] += 1  # the multiples of p * q
+            rem[p * q:: p * q] //= p
+            q *= p
+        e += 1
+        d[p::p] *= e
+    d[rem > 1] *= 2
     return d
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MemoryGuardError
+from .errors import MemoryGuardError, VerificationError
 from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -205,7 +205,8 @@ def find_solution(
     with the deepest index that failed, and the search gives up after
     ``DEFAULT_NODE_BUDGET`` visited nodes.  The memo and both prunings are
     sound: a None returned with budget left proves there is no solution over
-    the allowed primes; only a spent budget proves nothing.
+    the allowed primes; only a spent budget proves nothing.  A found multiset
+    is re-summed, and one that fails raises ``VerificationError``.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -238,7 +239,10 @@ def find_solution(
                 picks = [frame[2] for frame in stack[1:]] + [j]
                 sol = WGSolution(Z, e, tuple(sorted(int(ps[i]) for i in picks)))
                 if not sol.verify():
-                    raise AssertionError("solver produced an invalid solution")
+                    raise VerificationError(
+                        f"find_solution(Z={Z}, s={s}, e={e}) produced an invalid "
+                        f"solution: primes {sol.primes}"
+                    )
                 return sol
             stack.pop()
             continue
@@ -310,7 +314,8 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
     term differs from it only by the rounding of the product.  The real parts
     are summed with ``math.fsum``.  The int64 residue products are exact only
     while (q_max - 1)^2 < 2^63, so a larger q_max raises ``ValueError`` before
-    any modulus is evaluated.
+    any modulus is evaluated.  An imaginary part above 1e-6 (1 + |value|)
+    raises ``VerificationError``.
     """
     if s < 1 or e < 1:
         raise ValueError("need s >= 1, e >= 1")
@@ -322,7 +327,9 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
     value = math.fsum(t.real for t in terms)
     resid = abs(math.fsum(t.imag for t in terms))
     if resid > 1e-6 * (1.0 + abs(value)):
-        raise AssertionError(f"singular series has non-real residue {resid}")
+        raise VerificationError(
+            f"singular series for Z={Z}, s={s}, e={e} has non-real residue {resid}"
+        )
     return SingularSeriesEstimate(value, q_max)
 
 

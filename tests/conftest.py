@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's algorithms: the eta
 expansion below multiplies one (1 - q^j) factor at a time by direct
 convolution, the representation counter enumerates ordered tuples with
-nested loops, and the singular series sums its definition term by term with
-``cmath`` (no FFT, no multiplicativity).  Expensive coefficient tables are
-session fixtures.
+nested loops, the singular series sums its definition term by term with
+``cmath`` (no FFT, no multiplicativity), and the identity scan visits every
+index with exact Python ints (no float screen).  Expensive coefficient
+tables are session fixtures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import math
 
 import pytest
 
-from newform_basis import DELTA, FORM_11A, ConstructivePipeline, SearchDecomposer, expand_eta_product
+from newform_basis import (
+    DELTA,
+    FORM_11A,
+    ConstructivePipeline,
+    IdentityReport,
+    SearchDecomposer,
+    expand_eta_product,
+)
 
 ETA_FACTOR_SPECS = {
     "delta": ((1, 24),),
@@ -84,6 +92,54 @@ def naive_series_term(q: int, Z: int, s: int, e: int) -> complex:
 def naive_singular_series(Z: int, s: int, e: int, q_max: int) -> float:
     """Real part of the truncated singular series sum_{q <= q_max} of the direct terms."""
     return sum(naive_series_term(q, Z, s, e) for q in range(1, q_max + 1)).real
+
+
+def naive_coprime_sample_pairs(n_max: int, limit: int):
+    """The sampled multiplicativity pairs, one at a time: for m = 2..63, every
+    step-th n above m with gcd(m, n) = 1 and m*n <= n_max, stopping at limit."""
+    count = 0
+    for m in range(2, 64):
+        if m * 2 > n_max:
+            break
+        step = max(1, (n_max // m) // max(1, limit // 48))
+        for n in range(m + 1, n_max // m + 1, step):
+            if math.gcd(m, n) == 1:
+                yield m, n
+                count += 1
+                if count >= limit:
+                    return
+
+
+def naive_check_identities(table) -> IdentityReport:
+    """check_identities by a scalar scan: every prime, sampled pair and index in
+    exact Python ints, divisor counts by one slice add per divisor."""
+    level = table.level
+    pk = table.weight - 1
+    hecke = []
+    deligne = []
+    for p in table.primes():
+        if level % p == 0:
+            continue
+        ap = table.a(p)
+        ppk = p**pk
+        if ap * ap > 4 * ppk:
+            deligne.append((p, ap))
+        if p * p <= table.n_max and ap * ap - table.a(p * p) != ppk:
+            hecke.append((p, ap, table.a(p * p)))
+    mult = []
+    for m, n in naive_coprime_sample_pairs(table.n_max, 2000):
+        if table.a(m * n) != table.a(m) * table.a(n):
+            mult.append((m, n))
+    d = [0] * (table.n_max + 1)
+    for i in range(1, table.n_max + 1):
+        for j in range(i, table.n_max + 1, i):
+            d[j] += 1
+    divisor = []
+    for n in range(1, table.n_max + 1):
+        an = table.a(n)
+        if an * an > d[n] * d[n] * n**pk:
+            divisor.append((n, an))
+    return IdentityReport(table.n_max, hecke, mult, deligne, divisor)
 
 
 @pytest.fixture(scope="session")

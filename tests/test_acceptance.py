@@ -183,9 +183,10 @@ def test_c10_hua_main_term_tracking():
     ok = all(0.3 < r < 3.0 for r in ratios.values())
     detail = " ".join(f"ratio({Z})={r:.3f}" for Z, r in ratios.items())
     # Known-red criterion: Z = 1e5 and 1e6 lie in the residue class 1 mod 9,
-    # where prime-cube sums are forced through p = 3 and the first-order
-    # asymptotic misses by far at this height (perfbench's wg-mixed record
-    # holds the ratios in its criterion10_count_over_main_term field).
+    # and the first-order asymptotic misses by far at this height, even on the
+    # tuples that avoid p = 3 (test_waring_goldbach's criterion-10 split;
+    # perfbench's wg-mixed record holds the ratios in its
+    # criterion10_count_over_main_term field).
     report(10, ok, detail, elapsed, 600.0)
 
 

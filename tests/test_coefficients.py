@@ -1,13 +1,13 @@
 import hashlib
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ETA_FACTOR_SPECS, naive_eta_coefficients
+from conftest import ETA_FACTOR_SPECS, naive_check_identities, naive_eta_coefficients
 from newform_basis import (
     DELTA,
     FORM_11A,
@@ -246,6 +246,19 @@ class TestHeckeExtend:
         assert table.a(1) == 1
 
 
+def _factored_value(table, n):
+    """a(n) by trial division of n and the prime-power recursion at each factor."""
+    val, p = 1, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        val *= table.prime_power(p, e)
+        p += 1
+    return val
+
+
 class TestValueAt:
     def test_within_table(self, delta_1k):
         assert delta_1k.value_at(961) == delta_1k.a(961)
@@ -254,6 +267,17 @@ class TestValueAt:
         q = 997
         expected = f11a_1k.a(q) ** 2 - q  # weight 2: p^(2k-1) = p
         assert f11a_1k.value_at(q * q) == expected
+
+    def test_square_of_the_largest_table_prime(self, delta_1k, f11a_1k):
+        for table in (delta_1k, f11a_1k):
+            q = table.primes()[-1]
+            expected = table.prime_power(q, 2)
+            assert table.value_at(q * q) == expected == _factored_value(table, q * q)
+
+    def test_square_of_a_composite_beyond_the_table(self, delta_1k):
+        # 999 = 3^3 * 37: the square is 729 * 37^2, with 37^2 = 1369 beyond the table
+        expected = delta_1k.a(729) * delta_1k.prime_power(37, 2)
+        assert delta_1k.value_at(999**2) == expected == _factored_value(delta_1k, 999**2)
 
     def test_composite_beyond_table(self, f11a_1k):
         q, p = 991, 7
@@ -289,7 +313,58 @@ def test_multiplicativity_property(delta_1k, m, n):
         assert delta_1k.a(m * n) == delta_1k.a(m) * delta_1k.a(n)
 
 
+def _with_value(table, n, value):
+    values = [table.a(i) for i in range(1, table.n_max + 1)]
+    values[n - 1] = value
+    return CoeffTable(table.descriptor, table.n_max, values)
+
+
+def _matches_scalar_oracle(table):
+    report = check_identities(table)
+    assert report == naive_check_identities(table)
+    for entries in (report.hecke_violations, report.multiplicativity_violations,
+                    report.deligne_violations, report.divisor_bound_violations):
+        assert all(type(v) is int for entry in entries for v in entry)
+    return report
+
+
 class TestCheckIdentities:
+    def test_matches_scalar_oracle(self, delta_1k, f11a_1k, delta_1300):
+        assert delta_1300._values.dtype == object
+        deligne_bad = CoeffTable(DELTA, 10, [1, 100] + [0] * 8)
+        for table in (delta_1k, f11a_1k, delta_1300, _with_value(delta_1k, 4, 0), deligne_bad):
+            _matches_scalar_oracle(table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=2, max_value=1000),
+           st.integers(min_value=-3, max_value=3) | st.integers(min_value=-2**62, max_value=2**62))
+    def test_one_changed_coefficient_matches_scalar_oracle(self, delta_1k, n, shift):
+        _matches_scalar_oracle(_with_value(delta_1k, n, delta_1k.a(n) + shift))
+
+    def test_divisor_bound_at_equality(self):
+        # d(4) * 4^(11/2) = 3 * 2^11 = 6144 exactly: equality keeps the bound
+        for value, violations in ((6144, []), (6145, [(4, 6145)])):
+            report = _matches_scalar_oracle(CoeffTable(DELTA, 4, [1, -24, 252, value]))
+            assert report.divisor_bound_violations == violations
+
+    def test_deligne_bound_at_the_integer_edge(self):
+        p = 10007
+        edge = isqrt(4 * p**11)  # the largest a(p) with a(p)^2 <= 4 p^11
+        for value, violations in ((edge, []), (edge + 1, [(p, edge + 1)])):
+            values = [1] + [0] * (p - 1)
+            values[p - 1] = value
+            report = _matches_scalar_oracle(CoeffTable(DELTA, p, values))
+            assert report.deligne_violations == report.divisor_bound_violations == violations
+
+    def test_values_and_bounds_beyond_float_range(self):
+        # 2^1100 is no float64; at weight 2000, n^(1999/2) overflows for n >= 3
+        heavy = NewformDescriptor(2000, 1, "heavy")
+        for descriptor in (NewformDescriptor(400, 1, "light"), heavy):
+            for values in ([1, 2**1100, 0, 0], [1, 0, -(2**1100), 0], [1, 0, 0, 0]):
+                _matches_scalar_oracle(CoeffTable(descriptor, 4, values))
+        report = _matches_scalar_oracle(CoeffTable(heavy, 4, [1, 0, 2**1000, 2**1500]))
+        assert report.deligne_violations == report.divisor_bound_violations == []
+
     def test_clean_tables(self, delta_1k, f11a_1k, delta_1300):
         by_hand = CoeffTable(DELTA, 1300, [delta_1300.a(n) for n in range(1, 1301)])
         assert by_hand._values.dtype == object
@@ -409,7 +484,57 @@ class TestDescriptorFiles:
         with pytest.raises(FormatError, match="out of order"):
             load_newform(path)
 
+    def test_first_error_in_line_order_is_raised(self, tmp_path):
+        # line 5 is not prime and line 6 is out of order
+        path = self._write(tmp_path, "weight: 12\nlevel: 1\npmax: 5\n2 -24\n4 10\n3 252\n")
+        with pytest.raises(FormatError, match="line 5: 4 is not prime"):
+            load_newform(path)
+
+    def test_primality_beyond_pmax(self, tmp_path):
+        path = self._write(tmp_path, "weight: 12\nlevel: 1\npmax: 2\n2 -24\n3 252\n7 -16744\n")
+        assert load_newform(path)[1] == {2: -24, 3: 252, 7: -16744}
+        path = self._write(tmp_path, "weight: 12\nlevel: 1\npmax: 2\n2 -24\n9 0\n")
+        with pytest.raises(FormatError, match="line 5: 9 is not prime"):
+            load_newform(path)
+        for line in ("1 1", "0 1", "-3 1"):
+            path = self._write(tmp_path, f"weight: 12\nlevel: 1\npmax: 5\n{line}\n")
+            with pytest.raises(FormatError, match="line 4: .* is not prime"):
+                load_newform(path)
+
+    def test_primality_without_pmax(self, tmp_path):
+        # the missing header is found after the lines, so the bad line wins
+        path = self._write(tmp_path, "weight: 12\nlevel: 1\n2 -24\n4 10\n")
+        with pytest.raises(FormatError, match="line 4: 4 is not prime"):
+            load_newform(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = self._write(tmp_path, "weight: 12\npmax: 2\n2 -24\n")
         with pytest.raises(FormatError, match="level"):
             load_newform(path)
+
+
+class TestStructuralSpeed:
+    """The table checks read the value array and the shared sieve: no
+    per-index ``CoeffTable.a`` scan and no per-line Miller-Rabin."""
+
+    @pytest.fixture(scope="class")
+    def delta_10k(self):
+        return expand_eta_product(DELTA, 10**4)
+
+    def test_check_identities_reads_the_array(self, delta_10k, monkeypatch):
+        calls = []
+        a = CoeffTable.a
+        monkeypatch.setattr(CoeffTable, "a", lambda self, n: calls.append(n) or a(self, n))
+        assert check_identities(delta_10k).ok
+        assert len(calls) < 200
+
+    def test_loader_and_value_at_use_the_sieve(self, delta_10k, monkeypatch, tmp_path):
+        path = tmp_path / "delta.nft"
+        save_prime_table(delta_10k, path)
+        calls = []
+        is_prime = coefficients.is_prime
+        monkeypatch.setattr(coefficients, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert load_newform(path)[1] == {p: delta_10k.a(p) for p in delta_10k.primes()}
+        q = delta_10k.primes()[-1]
+        assert delta_10k.value_at(q * q) == delta_10k.prime_power(q, 2)
+        assert calls == []

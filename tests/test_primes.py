@@ -83,10 +83,17 @@ def test_smallest_prime_factors():
         assert all(n % d for d in range(2, f))
 
 
+def trial_division_divisor_count(n: int) -> int:
+    """Divisors of n in pairs (k, n // k) with k <= sqrt(n)."""
+    r = isqrt(n)
+    return sum(2 for k in range(1, r + 1) if n % k == 0) - (r * r == n)
+
+
 def test_divisor_counts():
-    d = divisor_counts(200)
-    for n in range(1, 201):
-        assert int(d[n]) == sum(1 for k in range(1, n + 1) if n % k == 0)
+    d = divisor_counts(10**4)
+    assert d.tolist() == [0] + [trial_division_divisor_count(n) for n in range(1, 10**4 + 1)]
+    for limit in range(0, 40):
+        assert divisor_counts(limit).tolist() == d[: limit + 1].tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,13 +14,14 @@ from conftest import (
 )
 from newform_basis import (
     MemoryGuardError,
+    VerificationError,
     count_representations,
     find_solution,
     hua_constants,
     hua_main_term,
     singular_series,
 )
-from newform_basis.primes import primes_up_to
+from newform_basis.primes import integer_nth_root, primes_up_to
 from newform_basis import primes, waring_goldbach
 from newform_basis.waring_goldbach import prime_powers
 
@@ -233,6 +234,11 @@ class TestFindSolution:
         monkeypatch.setattr(waring_goldbach, "DEFAULT_NODE_BUDGET", 1)
         assert find_solution(10**6 + 2, 2, 1) is None
 
+    def test_invalid_solution_raises_verification_error(self, monkeypatch):
+        monkeypatch.setattr(waring_goldbach.WGSolution, "verify", lambda self: False)
+        with pytest.raises(VerificationError, match=r"Z=101, s=3, e=1\) produced an invalid solution: primes \("):
+            find_solution(101, 3, 1)
+
 
 class TestSingularSeries:
     def test_q1_term(self):
@@ -301,6 +307,36 @@ class TestSingularSeries:
             increments.append(cur - prev)
             prev = cur
         assert math.fsum(reversed(increments)) == pytest.approx(prev, abs=1e-9)
+
+
+    def test_non_real_residue_raises_verification_error(self, monkeypatch):
+        monkeypatch.setattr(waring_goldbach, "_local_factors", lambda Z, s, e, q_max: [0j, 1 + 1j])
+        with pytest.raises(VerificationError, match="Z=10, s=3, e=1 has non-real residue 1.0"):
+            singular_series(10, 3, 1, 1)
+
+
+# Ordered 8-tuples of prime cubes at the acceptance criterion 10 heights, by
+# j, the number of summands equal to 3^3 (classes with no tuple left out),
+# and their totals.  Z = 10^5 and 10^6 are 1 mod 9; at 10^6 most tuples use p = 3.
+CRITERION10_SPLIT = {
+    10**5: ({}, 0),
+    3 * 10**5: ({0: 1120}, 1120),
+    10**6: ({0: 3360, 1: 120960, 3: 3360}, 127680),
+}
+
+
+@pytest.mark.parametrize("Z", sorted(CRITERION10_SPLIT))
+def test_criterion10_counts_split_by_summands_equal_to_27(Z):
+    # C(8, j) places the j threes; the other 8 - j summands avoid 3.  j = 8
+    # would need Z = 216.
+    pool = [p for p in primes_up_to(integer_nth_root(Z, 3)) if p != 3]
+    split = {
+        j: math.comb(8, j) * count_representations(Z - 27 * j, 8 - j, 3, allowed=pool)
+        for j in range(8)
+    }
+    classes, total = CRITERION10_SPLIT[Z]
+    assert {j: c for j, c in split.items() if c} == classes
+    assert sum(split.values()) == total == count_representations(Z, 8, 3)
 
 
 class TestMainTerm:
