@@ -10,14 +10,15 @@ each other so they can cross-check:
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone,
   using multiplicativity and the prime-power recursion.
 
-All stored coefficients are exact integers.  A pass runs in exact int64
-while the largest partial coefficient times the factor's weight sum stays
-below 2^63; once that headroom runs out, the remaining passes run over
-int64 residues modulo one or more ~49-bit primes and the values are lifted
-exactly afterwards.  No floating point produces a value.  The size checks
-(``check_identities`` and the loader's Deligne check) compare in float64 only
-as a screen: every entry the screen does not clear is decided in exact
-integers.
+All stored coefficients are exact integers.  Every pass runs in exact
+int64: a partial product is a short list of limbs, value = sum_j limb_j
+2^(32 j), and a limb is carried into the next before a pass whenever its
+largest entry times the factor's weight sum would reach 2^63.  The level-11
+form and small weight-12 tables never need a second limb; more than one limb
+combines into exact Python ints at the end.  No floating point produces a
+value.  The size checks (``check_identities`` and the loader's Deligne
+check) compare in float64 only as a screen: every entry the screen does not
+clear is decided in exact integers.
 
 Every table stores its values in one ndarray whose dtype the descriptor
 decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
@@ -45,7 +46,6 @@ from .primes import (
     MAX_SIEVE,
     divisor_counts,
     is_prime,
-    next_prime_below,
     prime_array,
     primes_up_to,
     smallest_prime_factors,
@@ -63,6 +63,11 @@ _ETA_FACTORS: dict[str, tuple[tuple[int, int], ...]] = {
 MAX_TABLE = 1 << 27  # longest coefficient table: one 1 GiB int64 array
 
 _INT64 = 1 << 63
+# Eta passes run on limbs of this width: a carried limb holds [0, 2^32), so a
+# pass by a series with sum|w| < 2^31 stays below 2^63.  A table up to
+# MAX_TABLE has sum|w| <= about 2 n <= 2^28 for every series.
+_LIMB_BITS = 32
+_HEADROOM = _INT64  # a limb is carried before a pass once max|x| * sum|w| reaches it
 
 _BUILTIN_SHAPES = {BUILTIN_DELTA: (12, 1), BUILTIN_11A: (2, 11)}
 
@@ -286,30 +291,15 @@ def _sparse_product(first, second, n: int) -> np.ndarray:
     return out
 
 
-def _exact_headroom(cur: np.ndarray, weights: np.ndarray) -> bool:
-    """True when max|cur| * sum|w| < 2^63, so a pass by these weights stays exact."""
-    return max(int(cur.max()), -int(cur.min())) * int(np.abs(weights).sum()) < _INT64
-
-
-def _shift_pass(cur, out, series, scratch, m: int | None = None) -> None:
+def _shift_pass(cur, out, series, scratch) -> None:
     """out = cur times the sparse series, truncated to len(cur), in int64.
 
-    With a modulus m, cur holds residues in [0, m) and so does out on return;
-    out is reduced whenever the running bound sum|w| (m - 1) would reach 2^63.
-    A weight other than +-1 multiplies into ``scratch``.
+    Exact when max|cur| * sum|w| < 2^63, which ``_carry`` ensures for every
+    limb.  A weight other than +-1 multiplies into ``scratch``.
     """
     n = len(cur)
-    exps, weights = series[0].tolist(), series[1].tolist()
-    if m is not None and (max(map(abs, weights)) + 1) * (m - 1) >= _INT64:
-        raise ValueError(f"n_max = {n} too large for the residue passes modulo {m}")
     out[:] = 0
-    room = 0
-    for g, w in zip(exps, weights):
-        if m is not None:
-            room += abs(w) * (m - 1)
-            if room >= _INT64:
-                out %= m
-                room = (abs(w) + 1) * (m - 1)
+    for g, w in zip(series[0].tolist(), series[1].tolist()):
         if w == 1:
             out[g:] += cur[: n - g]
         elif w == -1:
@@ -318,75 +308,68 @@ def _shift_pass(cur, out, series, scratch, m: int | None = None) -> None:
             part = scratch[: n - g]
             np.multiply(cur[: n - g], w, out=part)
             out[g:] += part
-    if m is not None:
-        out %= m
 
 
-_MODULUS_POOL: list[int] = []
+def _peak(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min()))
 
 
-def _moduli_for(bound: int) -> list[int]:
-    """Distinct ~49-bit primes whose product exceeds 2*bound."""
-    moduli = []
-    prod = 1
-    while prod <= 2 * bound:
-        while len(_MODULUS_POOL) <= len(moduli):
-            below = _MODULUS_POOL[-1] if _MODULUS_POOL else (1 << 49)
-            _MODULUS_POOL.append(next_prime_below(below))
-        m = _MODULUS_POOL[len(moduli)]
-        moduli.append(m)
-        prod *= m
-    return moduli
+def _carry(limbs: list[np.ndarray], total: int) -> None:
+    """Carry limbs in place, value unchanged, until each has max|x| * total < _HEADROOM.
+
+    The value is sum_j limbs[j] 2^(_LIMB_BITS j).  From the bottom up, a limb
+    short of headroom, or below the top and reached by a carry, keeps its
+    residue in [0, 2^_LIMB_BITS) and passes the rest up; it is reduced before
+    the incoming carry is added and again after, so no int64 wraps.  The top
+    limb absorbs a carry it has room for, or a new top limb takes it.
+    """
+    mask = (1 << _LIMB_BITS) - 1
+    up = None  # carry into x
+    for x in limbs:  # a limb appended in the loop is visited too
+        top = x is limbs[-1]
+        if up is not None and top and _peak(x) * total < _HEADROOM:
+            x += up  # |x| < 2^62 and |up| <= 2^31 + 1
+            up = None
+        if up is not None or _peak(x) * total >= _HEADROOM:
+            if top:
+                limbs.append(np.zeros_like(x))
+            hi = x >> _LIMB_BITS
+            x &= mask
+            if up is not None:
+                x += up
+                hi += x >> _LIMB_BITS
+                x &= mask
+            up = hi
 
 
-def _eta_values(factors, n_max: int, bound: int) -> np.ndarray:
-    """Coefficients 1..n_max of q * prod (1 - q^(scale*n))^power, each |a(n)| <= bound.
+def _eta_values(factors, n_max: int) -> np.ndarray:
+    """Coefficients 1..n_max of q * prod (1 - q^(scale*n))^power, exactly.
 
-    The two longest sparse series multiply exactly; the others run as exact
-    int64 passes while the headroom lasts, then once per CRT modulus.
+    The two longest sparse series multiply in int64; each of the others runs
+    as one shifted-add pass per limb after ``_carry``, and the limbs combine
+    into exact Python ints when there is more than one.
     """
     first, second, *rest = _sparse_series(factors, n_max - 1)
-    cur = _sparse_product(first, second, n_max)
-    spare = np.empty_like(cur)
+    totals = [int(np.abs(w).sum()) for _, w in rest]
+    if max(totals, default=0) << _LIMB_BITS >= _INT64:
+        raise ValueError(f"n_max = {n_max} too large for exact int64 passes on limbs")
+    limbs = [_sparse_product(first, second, n_max)]
+    spare = np.empty_like(limbs[0])
     weighted = any(int(np.abs(w).max()) > 1 for _, w in rest)
-    scratch = np.empty_like(cur) if weighted else None
-    while rest and _exact_headroom(cur, rest[0][1]):
-        _shift_pass(cur, spare, rest.pop(0), scratch)
-        cur, spare = spare, cur
-    if not rest:
-        return cur
-    moduli = _moduli_for(bound)
-    residue_rows = []
-    for m in moduli:
-        res = cur % m
-        for series in rest:
-            _shift_pass(res, spare, series, scratch, m)
-            res, spare = spare, res
-        residue_rows.append(res)
-    del cur, spare, scratch  # release the int64 working arrays before the object lift
-    return _crt_values(residue_rows, moduli)
-
-
-def _crt_values(residue_rows: list[np.ndarray], moduli: list[int]) -> np.ndarray:
-    """Exact signed values from residues: column-wise Garner lift, then the symmetric lift.
-
-    Each mixed-radix digit multiplies two ~49-bit residues, so the lift runs
-    on object columns (exact Python ints) once a second modulus enters.  The
-    steps work in place, so at most two object columns are alive at a time.
-    """
-    x = residue_rows[0]
-    radix = moduli[0]
-    for row, m in zip(residue_rows[1:], moduli[1:]):
-        digit = row.astype(object)
-        digit -= x
-        digit *= pow(radix % m, -1, m)
-        digit %= m
-        digit *= radix
-        digit += x
-        x = digit
-        radix *= m
-    x[x > radix >> 1] -= radix
-    return x
+    scratch = np.empty_like(spare) if weighted else None
+    for series, total in zip(rest, totals):
+        _carry(limbs, total)
+        for j, limb in enumerate(limbs):
+            _shift_pass(limb, spare, series, scratch)
+            limbs[j], spare = spare, limb
+    del spare, scratch  # release the int64 working arrays before the object combine
+    value = limbs.pop()
+    if limbs:
+        value = value.astype(object)
+        for limb in reversed(limbs):
+            value <<= _LIMB_BITS
+            value += limb
+    return value
 
 
 def _check_table_size(n_max: int) -> None:
@@ -404,8 +387,9 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
 
     Each eta power splits into Jacobi cubes and pentagonal series.  The two
     longest multiply sparse by sparse; the rest run as shifted-add passes,
-    exact in int64 while max|partial| * sum|w| < 2^63 and modulo CRT primes
-    after.  The level-11 form never leaves int64.
+    exact in int64 on 32-bit limbs that carry before a pass whenever
+    max|limb| * sum|w| would reach 2^63.  The level-11 form never needs a
+    second limb.
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError
@@ -417,8 +401,7 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
         raise ValueError(
             f"source {descriptor.source!r} has no eta product; ingest it with load_newform"
         )
-    bound = 2 * n_max**descriptor.k  # |a(n)| <= d(n) n^((2k-1)/2) < 2 n^k
-    table = CoeffTable(descriptor, n_max, _eta_values(factors, n_max, bound))
+    table = CoeffTable(descriptor, n_max, _eta_values(factors, n_max))
     _spot_check(table)
     return table
 

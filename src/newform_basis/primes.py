@@ -134,10 +134,3 @@ def integer_nth_root(x: int, n: int) -> int:
         r += 1
     return r
 
-
-def next_prime_below(limit: int) -> int:
-    """Largest prime strictly below limit."""
-    for n in range(limit - 1, 1, -1):
-        if is_prime(n):
-            return n
-    raise ValueError("no prime below limit")

@@ -35,6 +35,8 @@ def parameters(fn) -> list[str]:
     (nb.check_identities, ["table"]),
     (coefficients._spot_check, ["table"]),
     (primes.prime_array, ["limit"]),
+    (coefficients._eta_values, ["factors", "n_max"]),
+    (coefficients._shift_pass, ["cur", "out", "series", "scratch"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -44,3 +46,11 @@ def test_one_shot_decompose_wrappers_are_gone():
     for name in ("decompose_search", "decompose_constructive"):
         assert not hasattr(nb, name) and name not in nb.__all__
         assert not hasattr(nb.decomposer, name)
+
+
+def test_residue_tier_is_gone():
+    # the eta passes carry into int64 limbs; no modulus, CRT lift or prime search is left
+    for name in ("_moduli_for", "_crt_values", "_MODULUS_POOL", "_exact_headroom"):
+        assert not hasattr(coefficients, name)
+    assert not hasattr(primes, "next_prime_below")
+    assert not hasattr(nb, "next_prime_below") and "next_prime_below" not in nb.__all__

@@ -108,6 +108,17 @@ def _dense(series, n):
     return out.tolist()
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def _recombine(limbs):
+    """sum_j limbs[j] * 2^(_LIMB_BITS j) as exact Python ints."""
+    value = np.zeros(len(limbs[0]), dtype=object)
+    for j, limb in enumerate(limbs):
+        value += limb.astype(object) * (1 << (coefficients._LIMB_BITS * j))
+    return value
+
+
 def _digest(values):
     if values.dtype == object:
         return hashlib.sha256(",".join(map(str, values.tolist())).encode()).hexdigest()
@@ -138,54 +149,97 @@ class TestSeriesKernel:
                     expected[g1 + g2] += int(w1) * int(w2)
         assert coefficients._sparse_product(first, second, n).tolist() == expected
 
-    @pytest.mark.parametrize("exact_passes", [0, 1, 2, 3])
-    # passes: the factors left after the sparse product (8 cubes - 2; 4 pentagonal series - 2)
-    @pytest.mark.parametrize("name,descriptor,passes", [("delta", DELTA, 6), ("11a", FORM_11A, 2)])
-    def test_residue_tier_after_exact_passes(
-        self, monkeypatch, name, descriptor, passes, exact_passes
-    ):
-        # the headroom test grants `exact_passes` passes, then the residue tier takes over
-        grants = iter([True] * exact_passes)
-        monkeypatch.setattr(coefficients, "_exact_headroom", lambda cur, w: next(grants, False))
-        moduli = []
-        shift_pass = coefficients._shift_pass
+    @pytest.mark.parametrize("name,descriptor,limb_bits,headroom", [
+        ("delta", DELTA, 32, 1 << 20),
+        ("delta", DELTA, 4, 1 << 14),
+        ("11a", FORM_11A, 32, 1 << 5),
+        ("11a", FORM_11A, 1, 1 << 4),
+    ])
+    def test_forced_carry_matches_naive(self, monkeypatch, name, descriptor, limb_bits, headroom):
+        # a low headroom carries limbs from the first pass on; narrow limbs make
+        # the top limb split more than once in one carry
+        monkeypatch.setattr(coefficients, "_LIMB_BITS", limb_bits)
+        monkeypatch.setattr(coefficients, "_HEADROOM", headroom)
+        growth = []
+        carry = coefficients._carry
 
-        def spy(cur, out, series, scratch, m=None):
-            moduli.append(m)
-            shift_pass(cur, out, series, scratch, m)
+        def spy(limbs, total):
+            before = len(limbs)
+            carry(limbs, total)
+            growth.append(len(limbs) - before)
 
-        monkeypatch.setattr(coefficients, "_shift_pass", spy)
-        table = expand_eta_product(descriptor, 200)
-        assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], 200)
-        exact = min(exact_passes, passes)
-        assert moduli.count(None) == exact
-        n_moduli = len(coefficients._moduli_for(2 * 200**descriptor.k))
-        assert len(moduli) - exact == (passes - exact) * n_moduli
+        monkeypatch.setattr(coefficients, "_carry", spy)
+        for n in (1, 2, 37, 300):
+            table = expand_eta_product(descriptor, n)
+            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
+            assert all(type(v) is int for v in table._values.tolist())
+        if limb_bits == 32:
+            assert max(growth) == 1  # one split of the top limb per carry
+        else:
+            assert max(growth) >= 2  # the top limb splits more than once in one carry
 
-    def test_residue_pass_reduces_periodically(self):
-        rng = np.random.default_rng(7)
-        m = coefficients._moduli_for(1)[0]
-        assert 2**48 < m < 2**49
-        n = 500
+    # limbs from the bottom up: "big" ones hold entries at and past the carry
+    # edge and the int64 extremes, "inside" ones stop one short of the edge
+    @pytest.mark.parametrize("kinds", [
+        "big", "inside", "big inside", "inside big", "big inside inside",
+        "big big inside big", "inside inside big big", "inside inside inside",
+    ])
+    def test_carry_keeps_value_and_makes_room(self, kinds):
+        kinds = kinds.split()
+        rng = np.random.default_rng(len(kinds))
+        n, bits = 400, coefficients._LIMB_BITS
         exps = np.sort(rng.choice(n, size=60, replace=False))
         weights = rng.integers(1, 3000, size=60) * rng.choice([-1, 1], size=60)
-        weights[::7] = rng.choice([-1, 1], size=len(weights[::7]))
-        assert np.abs(weights).sum() > 2**15
-        cur = rng.integers(0, m, size=n, dtype=np.int64)
-        out = np.empty(n, dtype=np.int64)
-        coefficients._shift_pass(cur, out, (exps, weights), np.empty(n, dtype=np.int64), m)
-        exact = np.zeros(n, dtype=object)
-        wide = cur.astype(object)
+        total = int(np.abs(weights).sum())
+        edge = -(-coefficients._INT64 // total)  # the smallest |x| with |x| * total >= 2^63
+        limbs = []
+        for kind in kinds:
+            limb = rng.integers(1 - edge, edge, size=n)
+            limb[:4] = [edge - 1, 1 - edge, 0, -1]  # same slots in every limb
+            if kind == "big":
+                limb[4:10] = [edge, -edge, _INT64_MAX, -_INT64_MAX, _INT64_MAX, -_INT64_MAX]
+                limb[10:] = rng.integers(-_INT64_MAX, _INT64_MAX, size=n - 10)
+            limbs.append(limb)
+        before = [limb.copy() for limb in limbs]
+        value = _recombine(limbs)
+        coefficients._carry(limbs, total)
+        assert _recombine(limbs).tolist() == value.tolist()
+        for limb in limbs:
+            assert max(int(limb.max()), -int(limb.min())) * total < coefficients._HEADROOM
+        for limb, old in zip(limbs[:-1], before):
+            assert np.array_equal(limb, old) or (limb.min() >= 0 and limb.max() < 1 << bits)
+        if "big" not in kinds:
+            assert all(np.array_equal(limb, old) for limb, old in zip(limbs, before))
+            assert len(limbs) == len(before)
+        # one exact pass per limb now gives the exact product of the whole value
+        spare, scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        product = []
+        for limb in limbs:
+            coefficients._shift_pass(limb, spare, (exps, weights), scratch)
+            product.append(spare.copy())
+        expected = np.zeros(n, dtype=object)
         for g, w in zip(exps.tolist(), weights.tolist()):
-            exact[g:] += w * wide[: n - g]
-        assert out.tolist() == (exact % m).tolist()
+            expected[g:] += w * value[: n - g]
+        assert _recombine(product).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("name,descriptor", [("delta", DELTA), ("11a", FORM_11A)])
+    def test_limb_guard_raises_before_any_pass(self, monkeypatch, name, descriptor):
+        # the widest series of a table to 100 has sum|w| < 2^bits: limbs of 63 - bits
+        # bits keep sum|w| * 2^limb_bits below 2^63, one bit more reaches it
+        rest = coefficients._sparse_series(coefficients._ETA_FACTORS[descriptor.source], 99)[2:]
+        bits = max(int(np.abs(w).sum()) for _, w in rest).bit_length()
+        monkeypatch.setattr(coefficients, "_LIMB_BITS", 63 - bits)
+        oracle = naive_eta_coefficients(ETA_FACTOR_SPECS[name], 100)
+        assert expand_eta_product(descriptor, 100)._values.tolist() == oracle
+        monkeypatch.setattr(coefficients, "_LIMB_BITS", 64 - bits)
+        calls = []
+        monkeypatch.setattr(coefficients, "_sparse_product", lambda *a: calls.append(a))
+        monkeypatch.setattr(coefficients, "_shift_pass", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="too large for exact int64 passes on limbs"):
+            expand_eta_product(descriptor, 100)
+        assert calls == []
 
     def test_int64_guards(self):
-        m = coefficients._moduli_for(1)[0]
-        series = (np.array([0, 1]), np.array([1, 2**14]))
-        cur = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="too large for the residue passes"):
-            coefficients._shift_pass(cur, cur.copy(), series, cur.copy(), m)
         wide = (np.array([0]), np.array([2**32]))
         with pytest.raises(ValueError, match="too large for an exact int64 sparse product"):
             coefficients._sparse_product(wide, wide, 4)

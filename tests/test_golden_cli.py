@@ -25,8 +25,9 @@ from pathlib import Path
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 INVOCATIONS = [
-    # coeffs: one-modulus int64 (delta 100, 11a), two-modulus int64 (delta 300)
-    # and exact-integer storage (delta 1400), then the file and cache routes
+    # coeffs: int64 storage (delta 100 and 300, 11a) and exact-integer storage
+    # (delta 1400), all expanded on one int64 limb (delta first carries into a
+    # second limb between 1400 and 1500), then the file and cache routes
     ["coeffs", "--form", "delta", "--nmax", "100", "--check"],
     ["coeffs", "--form", "delta", "--nmax", "300", "--check", "--json"],
     ["coeffs", "--form", "11a", "--nmax", "2000", "--check"],

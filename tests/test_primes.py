@@ -10,7 +10,6 @@ from newform_basis.primes import (
     divisor_counts,
     integer_nth_root,
     is_prime,
-    next_prime_below,
     prime_array,
     primes_up_to,
     sieve_bitmap,
@@ -101,11 +100,3 @@ def test_divisor_counts():
 def test_integer_nth_root_exact(x, n):
     r = integer_nth_root(x, n)
     assert r**n <= x < (r + 1) ** n
-
-
-def test_next_prime_below():
-    assert next_prime_below(10) == 7
-    assert next_prime_below(3) == 2
-    assert is_prime(next_prime_below(1 << 49))
-    with pytest.raises(ValueError):
-        next_prime_below(2)
