@@ -43,6 +43,9 @@ PARTNER_CAP = 10_000
 # depth, and targets with |Z| <= BAND_LIMIT share one precomputed band of splits.
 CANDIDATE_CAP = 16
 BAND_LIMIT = 128
+# Rows of the first half that one probe of a meet or band join handles at
+# once; 2^18 rows keep each of the probe's int64 temporaries at 2 MB.
+PROBE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -300,11 +303,44 @@ class ConstructivePipeline:
 
 
 def _multiset_sums(vals: np.ndarray, h: int) -> np.ndarray:
-    """Sums over non-decreasing index h-tuples of vals (C(len+h-1, h) entries)."""
-    if h == 1:
-        return vals
-    parts = [vals[i] + _multiset_sums(vals[i:], h - 1) for i in range(len(vals))]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    """Sums over non-decreasing index h-tuples of vals (C(len+h-1, h) entries).
+
+    Each level lists its tuples by first index, so the (r-1)-tuples with first
+    index >= i are the last C(K-i+r-2, r-1) entries of level r-1, and level r
+    is vals[i] plus that suffix for i = 0..K-1, written into one preallocated
+    array.  The order is lexicographic in the index tuple; h = 1 returns vals.
+    """
+    K = len(vals)
+    level = vals
+    for r in range(2, h + 1):
+        out = np.empty(comb(K + r - 1, r), dtype=np.int64)
+        end = 0
+        for i in range(K):
+            n = comb(K - i + r - 2, r - 1)
+            np.add(level[len(level) - n:], vals[i], out=out[end:end + n])
+            end += n
+        level = out
+    return level
+
+
+def _probe(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int):
+    """Rows s1 of firsts whose window [Z-width-s1, Z+width-s1] meets sums2, chunk by chunk.
+
+    Probes PROBE_CHUNK rows of firsts at a time with one searchsorted for the
+    windows' low ends, and yields that chunk's hit rows s1, in the order of
+    firsts, with lo, the index in the ascending array sums2 of each window's
+    first entry.  No temporary outgrows a chunk, and a caller that stops
+    early leaves the later chunks unprobed.  Every low end must fit int64.
+    """
+    if not len(sums2):
+        return
+    for st in range(0, len(firsts), PROBE_CHUNK):
+        a = firsts[st:st + PROBE_CHUNK]
+        low = np.asarray((Z - width) - a, dtype=np.int64)
+        lo = np.searchsorted(sums2, low)
+        hit = sums2.take(lo, mode="clip") <= low + 2 * width
+        hit &= lo < len(sums2)
+        yield a[hit], lo[hit]
 
 
 class SearchDecomposer:
@@ -318,6 +354,13 @@ class SearchDecomposer:
     n <= n_max, as an exact int.  Tables are cached by (h, K), so one instance
     amortizes across many targets.  The search ranges over every index of the
     table; ``SearchDecomposer(table.truncate(m))`` searches indices <= m.
+
+    ``_multiset_sums`` builds a table level by level, each laid out by first
+    index so that the tuples with first index >= i are a suffix of the level
+    below; the table is then sorted in place and deduplicated.  The meet and
+    the band join are one primitive, ``_probe``, which walks the ascending
+    first half PROBE_CHUNK rows at a time: a meet holds at most one chunk of
+    temporaries beside the tables, and stops at its CANDIDATE_CAP-th hit.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
@@ -333,7 +376,7 @@ class SearchDecomposer:
 
     def __init__(self, table: CoeffTable):
         self.table = table
-        self.values = np.array([table.a(n) for n in range(1, table.n_max + 1)], dtype=object)
+        self.values = table._values.astype(object)
         self._value_first_index: dict[int, int] = {}
         for i, v in enumerate(self.values, start=1):
             self._value_first_index.setdefault(v, i)
@@ -362,7 +405,10 @@ class SearchDecomposer:
         """The h-sum table over indices 1..K."""
         sums = self._tables.get((h, K))
         if sums is None:
-            sums = np.sort(_multiset_sums(self._ints[:K], h))
+            sums = _multiset_sums(self._ints[:K], h)
+            if h == 1:
+                sums = sums.copy()  # a view of self._ints, which must keep index order
+            sums.sort()
             distinct = np.ones(len(sums), dtype=bool)
             np.not_equal(sums[1:], sums[:-1], out=distinct[1:])
             sums = sums[distinct]
@@ -390,14 +436,21 @@ class SearchDecomposer:
         return (*head, self._value_first_index[s])
 
     def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
-        """Candidate (s1, s2) half-sum splits with s1 + s2 = Z, capped and ordered."""
+        """Candidate (s1, s2) half-sum splits with s1 + s2 = Z, capped and ordered.
+
+        The first half is every a(n) in index order at h1 = 1, else the
+        ascending h1-sums; only rows whose complement Z - s1 lies in the
+        h2-sums' range are probed, each with the one-point window
+        [Z - s1, Z - s1], and the probe stops at the CANDIDATE_CAP-th hit.
+        At h1 >= 2 a target with |Z| <= BAND_LIMIT reads the band instead.
+        """
         sums2 = self._half_table(h2)
         if not len(sums2):
             return []
         lo, hi = int(sums2[0]), int(sums2[-1])
         if h1 == 1:
+            # exact ints; those whose complement lies in sums2's range fit int64
             firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
-            comps = (Z - firsts).astype(np.int64)
         elif abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
         elif abs(Z) >= 1 << 61:
@@ -405,32 +458,32 @@ class SearchDecomposer:
         else:
             sums1 = self._half_table(h1)
             firsts = sums1[np.searchsorted(sums1, Z - hi):np.searchsorted(sums1, Z - lo, "right")]
-            comps = Z - firsts
-        hits = sums2.take(np.searchsorted(sums2, comps), mode="clip") == comps
-        return [(int(firsts[j]), int(comps[j])) for j in np.flatnonzero(hits)[:CANDIDATE_CAP]]
+        pairs: list[tuple[int, int]] = []
+        for hits, _ in _probe(firsts, sums2, Z, 0):
+            pairs += [(s1, Z - s1) for s1 in hits[:CANDIDATE_CAP - len(pairs)].tolist()]
+            if len(pairs) == CANDIDATE_CAP:
+                break
+        return pairs
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
-        Built once per half-depth combination with two vectorized range
-        queries per chunk; amortizes meets over many small targets.
+        Built once per half-depth combination by one probe of the ascending
+        h1-sums against the h2-sums with window [-BAND_LIMIT-s1, BAND_LIMIT-s1];
+        only the hit rows search for their windows' high ends.  Each bucket
+        keeps its first CANDIDATE_CAP splits in (s1, s2) order.  Amortizes
+        meets over many small targets.
         """
         cached = self._band_cache.get((h1, h2))
         if cached is not None:
             return cached
-        sums1 = self._half_table(h1)
         sums2 = self._half_table(h2)
         band = BAND_LIMIT
         table: dict[int, list[tuple[int, int]]] = {}
-        chunk = 2_000_000
-        for st in range(0, len(sums1), chunk):
-            a = sums1[st:st + chunk]
-            lo = np.searchsorted(sums2, -band - a, side="left")
-            hi = np.searchsorted(sums2, band - a, side="right")
-            for j in np.flatnonzero(hi > lo):
-                s1 = int(a[j])
-                for u in sums2[lo[j]:hi[j]]:
-                    s2 = int(u)
+        for hits, starts in _probe(self._half_table(h1), sums2, 0, band):
+            stops = np.searchsorted(sums2, band - hits, side="right")
+            for s1, start, stop in zip(hits.tolist(), starts.tolist(), stops.tolist()):
+                for s2 in sums2[start:stop].tolist():
                     bucket = table.setdefault(s1 + s2, [])
                     if len(bucket) < CANDIDATE_CAP:
                         bucket.append((s1, s2))

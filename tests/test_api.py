@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import newform_basis as nb
-from newform_basis import admissible, coefficients, primes, waring_goldbach
+from newform_basis import admissible, coefficients, decomposer, primes, waring_goldbach
 
 
 def parameters(fn) -> list[str]:
@@ -37,6 +37,8 @@ def parameters(fn) -> list[str]:
     (primes.prime_array, ["limit"]),
     (coefficients._eta_values, ["factors", "n_max"]),
     (coefficients._shift_pass, ["cur", "out", "series", "scratch"]),
+    (decomposer._multiset_sums, ["vals", "h"]),
+    (decomposer._probe, ["firsts", "sums2", "Z", "width"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected

@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from newform_basis import (
     DELTA,
     FORM_11A,
+    CoeffTable,
     ConstructivePipeline,
     Decomposition,
     InfeasibleError,
@@ -278,3 +281,186 @@ class TestSearch:
         sd = SearchDecomposer(expand_eta_product(DELTA, 1))
         assert sd.decompose(9, 20).terms == ((1, 9),)
         assert sd.decompose(-1, 20) is None
+
+
+def _first_half(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[int]:
+    """The rows _meet probes for Z, by definition: every value, or the window of h1-sums."""
+    sums2 = sd._half_table(h2).tolist()
+    if h1 == 1:
+        return [v for v in sd.values.tolist() if sums2[0] <= Z - v <= sums2[-1]]
+    return [s for s in sd._half_table(h1).tolist() if sums2[0] <= Z - s <= sums2[-1]]
+
+
+def _hit_rows(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[int]:
+    """Positions in _first_half of the first CANDIDATE_CAP rows s1 with Z - s1 an h2-sum."""
+    sums2 = set(sd._half_table(h2).tolist())
+    firsts = _first_half(sd, Z, h1, h2)
+    return [j for j, s1 in enumerate(firsts) if Z - s1 in sums2][:decomposer.CANDIDATE_CAP]
+
+
+def _brute_meet(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
+    firsts = _first_half(sd, Z, h1, h2)
+    return [(firsts[j], Z - firsts[j]) for j in _hit_rows(sd, Z, h1, h2)]
+
+
+def _brute_band(sd: SearchDecomposer, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
+    band: dict[int, list[tuple[int, int]]] = {}
+    for s1 in sd._half_table(h1).tolist():
+        for s2 in sd._half_table(h2).tolist():
+            if abs(s1 + s2) <= decomposer.BAND_LIMIT:
+                bucket = band.setdefault(s1 + s2, [])
+                if len(bucket) < decomposer.CANDIDATE_CAP:
+                    bucket.append((s1, s2))
+    return band
+
+
+class TestSearchTables:
+    """Half-sum tables by first-index suffixes, and the chunked probe of the meet and band join."""
+
+    HALVES = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multiset_sums_match_combinations(self, seed):
+        # negative and repeated values; K = 0 is the empty pool
+        rng = np.random.default_rng(seed)
+        for K in range(13):
+            vals = rng.integers(-6, 7, size=K).astype(np.int64)
+            for h in range(1, 5):
+                expected = sorted(sum(t) for t in combinations_with_replacement(vals.tolist(), h))
+                assert sorted(decomposer._multiset_sums(vals, h).tolist()) == expected
+
+    def test_table_builds_leave_the_values_unchanged(self, delta_1k):
+        # _sums sorts in place; the h = 1 table must be a copy, not a view of _ints
+        values = delta_1k._values.copy()
+        sd = SearchDecomposer(delta_1k)
+        ints = sd._ints.copy()
+        for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
+            for r in range(1, h + 1):
+                assert np.all(np.diff(sd._sums(r, sd._pool(h))) > 0)
+        assert np.array_equal(sd._ints, ints)
+        assert np.array_equal(delta_1k._values, values)
+
+    def test_values_are_python_ints_by_index(self, delta_1k, f11a_1k):
+        # int64 storage (delta to 1000), repeated values (11a), exact-int storage (delta to 1300)
+        for table in (delta_1k, f11a_1k, expand_eta_product(DELTA, 1300)):
+            sd = SearchDecomposer(table)
+            expected = [table.a(n) for n in range(1, table.n_max + 1)]
+            assert sd.values.dtype == object and sd.values.tolist() == expected
+            assert all(type(v) is int for v in sd.values)
+            first: dict[int, int] = {}
+            for n, v in enumerate(expected, start=1):
+                first.setdefault(v, n)
+            assert sd._value_first_index == first
+
+    @pytest.fixture(scope="class")
+    def progression(self):
+        # a run of values puts 20 splits on a target (past CANDIDATE_CAP), 5, 5
+        # repeats a value, -1000 sends a band window past the end of sums2, and
+        # 125 and -131 put band totals on both edges, 1+1+1+125 and -131+1+1+1
+        values = [1] + list(range(200, 219)) + [-1000, 5, 5, -7, 125, -131]
+        return CoeffTable(DELTA, len(values), values)
+
+    @pytest.fixture
+    def small_searcher(self, monkeypatch, progression):
+        # tables of at most 400 entries keep the brute-force double loops short
+        monkeypatch.setattr(SearchDecomposer, "HALF_SUM_BUDGET", 400)
+        return SearchDecomposer(progression)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_meet_matches_brute_force(self, monkeypatch, small_searcher, chunk):
+        sd = small_searcher
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        cap = decomposer.CANDIDATE_CAP
+        last_row_hit = cap_mid_chunk = False
+        for h1, h2 in self.HALVES:
+            for Z in [*range(-2000, -128, 61), *range(129, 1800, 7), 418, 820]:
+                if h1 == 1 or abs(Z) > decomposer.BAND_LIMIT:
+                    pairs = sd._meet(Z, h1, h2)
+                    assert pairs == _brute_meet(sd, Z, h1, h2), (Z, h1, h2)
+                    rows = _hit_rows(sd, Z, h1, h2)
+                    last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
+                    if len(pairs) == cap:
+                        j = rows[-1]  # the probe stops in this row's chunk
+                        more = j + 1 < len(_first_half(sd, Z, h1, h2))
+                        cap_mid_chunk |= j % chunk < chunk - 1 and more
+        # the exact-int path also serves small targets
+        for h2 in range(1, 5):
+            for Z in range(-40, 41):
+                assert sd._meet(Z, 1, h2) == _brute_meet(sd, Z, 1, h2), (Z, h2)
+        assert last_row_hit
+        assert cap_mid_chunk or chunk == 1  # a chunk of one row has no middle
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_band_pairs_match_brute_force(self, monkeypatch, small_searcher, chunk):
+        sd = small_searcher
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        band = decomposer.BAND_LIMIT
+        last_row_hit = low_past_end = False
+        totals: set[int] = set()
+        for h1, h2 in self.HALVES[2:]:
+            pairs = sd._band_pairs(h1, h2)
+            assert pairs == _brute_band(sd, h1, h2), (h1, h2)
+            totals |= pairs.keys()
+            sums1, sums2 = sd._half_table(h1).tolist(), sd._half_table(h2).tolist()
+            rows = [j for j, s1 in enumerate(sums1) if any(abs(s1 + s2) <= band for s2 in sums2)]
+            last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
+            low_past_end |= -band - sums1[0] > sums2[-1]  # its search returns len(sums2)
+        assert last_row_hit and low_past_end and {-band, band} <= totals
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_probe_yields_the_rows_whose_window_meets(self, monkeypatch, chunk):
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        sums2 = np.array([-9, -4, 0, 3, 10], dtype=np.int64)
+        firsts = np.array([-30, -12, -5, -1, 0, 2, 7, 13, 25], dtype=np.int64)
+        for Z in range(-20, 21):
+            for width in (0, 1, 3):
+                chunks = list(decomposer._probe(firsts, sums2, Z, width))
+                assert len(chunks) == -(-len(firsts) // chunk)
+                got = [row for s1, lo in chunks for row in zip(s1.tolist(), lo.tolist())]
+                expected = []
+                for s1 in firsts.tolist():
+                    inside = [j for j, s2 in enumerate(sums2.tolist())
+                              if Z - width - s1 <= s2 <= Z + width - s1]
+                    if inside:
+                        expected.append((s1, inside[0]))
+                assert got == expected, (Z, width)
+        # s1 = -30 at Z = 0 puts the low end past sums2[-1]: its search returns len(sums2)
+        assert not list(decomposer._probe(firsts[:1], sums2, 0, 3))[0][0].size
+        assert list(decomposer._probe(firsts, sums2[:0], 0, 3)) == []
+
+    def test_meet_stops_at_the_cap(self, monkeypatch, small_searcher):
+        sd = small_searcher
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", 1)
+        probe, drawn = decomposer._probe, []
+
+        def counting(*args):
+            for chunk in probe(*args):
+                drawn.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(decomposer, "_probe", counting)
+        Z = 820  # 400 + 420, ..., 420 + 400 over the 2-sums of 200..218
+        pairs = sd._meet(Z, 2, 2)
+        firsts = _first_half(sd, Z, 2, 2)
+        assert len(pairs) == decomposer.CANDIDATE_CAP
+        assert len(drawn) == firsts.index(pairs[-1][0]) + 1 < len(firsts)
+
+    def test_six_sum_meet_holds_one_chunk(self, delta_searcher, delta_1k):
+        sd = delta_searcher
+        for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
+            for r in range(1, h + 1):
+                sd._sums(r, sd._pool(h))
+        # a sum of six a(i) with i <= 300, like the benchmark's large targets
+        Z = sum(delta_1k.a(i) for i in (17, 58, 133, 201, 256, 300))
+        tracemalloc.start()
+        try:
+            d = sd.decompose(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.ell == 6 and verify_decomposition(d, delta_1k).ok
+        # The 3 + 3 meet probes a 6·10^6-entry table of 3-sums.  One chunk of
+        # 2^18 rows needs about four 2 MB temporaries; probing the whole table
+        # at once made three 48 MB arrays (about 140 MB in all).  32 MB is
+        # below a single table-sized array and well above one chunk.
+        assert peak < 32 * 2**20
