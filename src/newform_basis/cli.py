@@ -155,7 +155,6 @@ def _cmd_admissible(args) -> int:
         f"# admissible set k={S.k} size={len(S)} method={S.method} "
         f"check_bound={S.check_bound} ratio={card.ratio!r}"
     ] + [str(p) for p in S.primes]
-    rc = 0
     if args.repair is not None:
         witness = repair(args.repair, S, table)
         payload["repair"] = {
@@ -168,7 +167,7 @@ def _cmd_admissible(args) -> int:
             f"minus={','.join(map(str, witness.minus)) or '-'}"
         )
     _emit(args, payload, lines)
-    return rc
+    return 0
 
 
 def _wg_allowed(args) -> list[int] | None:

@@ -97,10 +97,6 @@ class NewformDescriptor:
         """Half the weight; the exponent scale 2k - 1 is derived from it."""
         return self.weight // 2
 
-    @property
-    def is_builtin(self) -> bool:
-        return self.source in _ETA_FACTORS
-
 
 DELTA = NewformDescriptor(12, 1, BUILTIN_DELTA)
 FORM_11A = NewformDescriptor(2, 11, BUILTIN_11A)

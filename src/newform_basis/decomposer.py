@@ -343,6 +343,26 @@ def _probe(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int):
         yield a[hit], lo[hit]
 
 
+def _splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[int, list]:
+    """Pairs (s1, s2) in firsts x sums2 with |s1 + s2 - Z| <= width, grouped by total.
+
+    Walks ``_probe``; each group keeps its first CANDIDATE_CAP pairs in the
+    order of firsts and then s2.  At width 0 the walk stops after the chunk
+    that fills the group of Z.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for hits, starts in _probe(firsts, sums2, Z, width):
+        stops = sums2.searchsorted(np.asarray((Z + width) - hits, np.int64), "right")
+        for s1, start, stop in zip(hits.tolist(), starts.tolist(), stops.tolist()):
+            for s2 in sums2[start:stop].tolist():
+                group = groups.setdefault(s1 + s2, [])
+                if len(group) < CANDIDATE_CAP:
+                    group.append((s1, s2))
+        if not width and len(groups.get(Z, ())) == CANDIDATE_CAP:
+            break
+    return groups
+
+
 class SearchDecomposer:
     """Iterative-deepening meet-in-the-middle over multisets of coefficient values.
 
@@ -350,17 +370,17 @@ class SearchDecomposer:
     a(i_1) + ... + a(i_h) over 1 <= i_1 <= ... <= i_h <= K, ascending, in
     int64.  Depth ell = h1 + h2 <= MAX_MEET_DEPTH meets the h1- and h2-sum
     tables, each over the pool sized for its half to HALF_SUM_BUDGET entries
-    and to int64 headroom; at ell = 2, 3 the first half is instead every a(n),
-    n <= n_max, as an exact int.  Tables are cached by (h, K), so one instance
-    amortizes across many targets.  The search ranges over every index of the
-    table; ``SearchDecomposer(table.truncate(m))`` searches indices <= m.
+    and to h * max|a| <= 2^61, so every split total lies within 2^62 and every
+    probe difference fits int64; at ell = 2, 3 the first half is instead every
+    a(n), n <= n_max, from the table's own values.  Tables are cached by
+    (h, K), so one instance amortizes across many targets.  The search ranges
+    over every index; ``SearchDecomposer(table.truncate(m))`` searches n <= m.
 
     ``_multiset_sums`` builds a table level by level, each laid out by first
     index so that the tuples with first index >= i are a suffix of the level
-    below; the table is then sorted in place and deduplicated.  The meet and
-    the band join are one primitive, ``_probe``, which walks the ascending
-    first half PROBE_CHUNK rows at a time: a meet holds at most one chunk of
-    temporaries beside the tables, and stops at its CANDIDATE_CAP-th hit.
+    below; the table is then sorted and deduplicated in place.  The meet and
+    the band join are one collector, ``_splits``, over the chunked ``_probe``:
+    a meet holds at most one chunk of temporaries beside the tables.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
@@ -376,15 +396,13 @@ class SearchDecomposer:
 
     def __init__(self, table: CoeffTable):
         self.table = table
-        self.values = table._values.astype(object)
+        self.values = table._values
         self._value_first_index: dict[int, int] = {}
-        for i, v in enumerate(self.values, start=1):
+        for i, v in enumerate(self.values.tolist(), start=1):
             self._value_first_index.setdefault(v, i)
         self._prefix_abs_max = np.maximum.accumulate(np.abs(self.values))
-        # every index pool stops before |a(n)| passes 2^61, so its values fit int64
-        headroom = int(np.searchsorted(self._prefix_abs_max, 1 << 61, side="right"))
-        self._ints = self.values[:headroom].astype(np.int64)
         self._pools: dict[int, int] = {}
+        self._ints = self.values[:self._pool(1)].astype(np.int64)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._band_cache: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
@@ -409,10 +427,14 @@ class SearchDecomposer:
             if h == 1:
                 sums = sums.copy()  # a view of self._ints, which must keep index order
             sums.sort()
-            distinct = np.ones(len(sums), dtype=bool)
-            np.not_equal(sums[1:], sums[:-1], out=distinct[1:])
-            sums = sums[distinct]
-            self._tables[(h, K)] = sums
+            # compact in place; row st - 1 is never overwritten before it is read
+            n = min(len(sums), 1)
+            for st in range(1, len(sums), PROBE_CHUNK):
+                rows = sums[st - 1:st + PROBE_CHUNK]
+                kept = rows[1:][rows[1:] != rows[:-1]]
+                sums[n:n + len(kept)] = kept
+                n += len(kept)
+            sums = self._tables[(h, K)] = sums[:n]
         return sums
 
     def _half_table(self, h: int) -> np.ndarray:
@@ -436,59 +458,39 @@ class SearchDecomposer:
         return (*head, self._value_first_index[s])
 
     def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
-        """Candidate (s1, s2) half-sum splits with s1 + s2 = Z, capped and ordered.
+        """The first CANDIDATE_CAP half-sum splits (s1, s2) with s1 + s2 = Z.
 
         The first half is every a(n) in index order at h1 = 1, else the
-        ascending h1-sums; only rows whose complement Z - s1 lies in the
-        h2-sums' range are probed, each with the one-point window
-        [Z - s1, Z - s1], and the probe stops at the CANDIDATE_CAP-th hit.
-        At h1 >= 2 a target with |Z| <= BAND_LIMIT reads the band instead.
+        ascending h1-sums; ``_splits`` at width 0 walks only the rows whose
+        complement Z - s1 lies in the h2-sums' range.  At h1 >= 2 a target
+        with |Z| <= BAND_LIMIT reads the band instead.
         """
         sums2 = self._half_table(h2)
         if not len(sums2):
             return []
         lo, hi = int(sums2[0]), int(sums2[-1])
         if h1 == 1:
-            # exact ints; those whose complement lies in sums2's range fit int64
+            # the table's values; those whose complement lies in sums2's range fit int64
             firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
         elif abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
-        elif abs(Z) >= 1 << 61:
-            return []
         else:
             sums1 = self._half_table(h1)
+            if not int(sums1[0]) + lo <= Z <= int(sums1[-1]) + hi:
+                return []  # no split; a search key past int64 would cast sums1 to object
             firsts = sums1[np.searchsorted(sums1, Z - hi):np.searchsorted(sums1, Z - lo, "right")]
-        pairs: list[tuple[int, int]] = []
-        for hits, _ in _probe(firsts, sums2, Z, 0):
-            pairs += [(s1, Z - s1) for s1 in hits[:CANDIDATE_CAP - len(pairs)].tolist()]
-            if len(pairs) == CANDIDATE_CAP:
-                break
-        return pairs
+        return _splits(firsts, sums2, Z, 0).get(Z, [])
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
-        Built once per half-depth combination by one probe of the ascending
-        h1-sums against the h2-sums with window [-BAND_LIMIT-s1, BAND_LIMIT-s1];
-        only the hit rows search for their windows' high ends.  Each bucket
-        keeps its first CANDIDATE_CAP splits in (s1, s2) order.  Amortizes
-        meets over many small targets.
+        ``_splits`` of the ascending h1-sums against the h2-sums, cached per
+        half-depth combination so that meets over many small targets share it.
         """
-        cached = self._band_cache.get((h1, h2))
-        if cached is not None:
-            return cached
-        sums2 = self._half_table(h2)
-        band = BAND_LIMIT
-        table: dict[int, list[tuple[int, int]]] = {}
-        for hits, starts in _probe(self._half_table(h1), sums2, 0, band):
-            stops = np.searchsorted(sums2, band - hits, side="right")
-            for s1, start, stop in zip(hits.tolist(), starts.tolist(), stops.tolist()):
-                for s2 in sums2[start:stop].tolist():
-                    bucket = table.setdefault(s1 + s2, [])
-                    if len(bucket) < CANDIDATE_CAP:
-                        bucket.append((s1, s2))
-        self._band_cache[(h1, h2)] = table
-        return table
+        if (h1, h2) not in self._band_cache:
+            sums1, sums2 = self._half_table(h1), self._half_table(h2)
+            self._band_cache[(h1, h2)] = _splits(sums1, sums2, 0, BAND_LIMIT)
+        return self._band_cache[(h1, h2)]
 
     def _baseline(self, Z: int, ell_max: int) -> Decomposition | None:
         """Exact fallback from a(1) = 1 and, for Z < 0, the first negative coefficient."""

@@ -343,14 +343,42 @@ class TestSearchTables:
     def test_values_are_python_ints_by_index(self, delta_1k, f11a_1k):
         # int64 storage (delta to 1000), repeated values (11a), exact-int storage (delta to 1300)
         for table in (delta_1k, f11a_1k, expand_eta_product(DELTA, 1300)):
+            # the searcher reads the table's own array, not a copy of it
             sd = SearchDecomposer(table)
-            expected = [table.a(n) for n in range(1, table.n_max + 1)]
-            assert sd.values.dtype == object and sd.values.tolist() == expected
-            assert all(type(v) is int for v in sd.values)
+            assert sd.values is table._values
             first: dict[int, int] = {}
-            for n, v in enumerate(expected, start=1):
-                first.setdefault(v, n)
+            for n in range(1, table.n_max + 1):
+                first.setdefault(table.a(n), n)
             assert sd._value_first_index == first
+            assert all(type(v) is int for v in sd._value_first_index)
+
+    def test_sums_dedup_in_place(self, delta_1k):
+        # The 3-sums over K = 329 are 6·10^6 int64 (48 MB) with 375 repeats;
+        # a copy of the distinct sums made beside the sorted table held two
+        # table-sized arrays at once (2.1 times the result).
+        sd = SearchDecomposer(delta_1k)
+        tracemalloc.start()
+        try:
+            sums = sd._sums(3, sd._pool(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.diff(sums) > 0)
+        assert peak < 1.5 * sums.nbytes
+
+    def test_targets_past_2_61(self, delta_searcher):
+        # On the weight-12 table to 3000 (exact-int storage) every h-sum lies
+        # within 2^61 of zero, so a target between 2^61 and 2^62 still meets:
+        # 2a(1667) + 2a(1669) is a 2 + 2 split
+        table = expand_eta_product(DELTA, 3000)
+        sd = SearchDecomposer(table)
+        Z = 2 * table.a(1667) + 2 * table.a(1669)
+        assert Z == 3_056_607_641_347_163_572 and 1 << 61 < Z < 1 << 62
+        assert sd.decompose(Z, 8).terms == ((1667, 2), (1669, 2))
+        # targets past int64 leave every first half empty; nothing raises
+        for searcher in (delta_searcher, sd):
+            for Z in (1 << 63, -(1 << 63), 10**400, -(10**400)):
+                assert searcher.decompose(Z) is None
 
     @pytest.fixture(scope="class")
     def progression(self):
