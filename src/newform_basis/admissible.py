@@ -190,10 +190,9 @@ def greedy_maximal(
     store = _SubsetSums(k)
     chosen: list[int] = []
     last = 0
-    for p in cands:
+    for p, ap in zip(cands, table.iter_a(cands)):
         if size_target is not None and len(chosen) >= size_target:
             break
-        ap = table.a(p)
         if not store.conflicts(ap):
             store.add(p, ap)
             chosen.append(p)

@@ -6,7 +6,9 @@ each other so they can cross-check:
 * ``expand_eta_product`` multiplies out the eta-product q-expansion of a
   builtin form with truncated sparse series: each eta power splits into
   Jacobi cubes and pentagonal-number series, the two longest multiply sparse
-  by sparse, and the rest run as shifted-add passes.
+  by sparse, and the rest run as shifted-add passes, one block of
+  ``_PASS_BLOCK`` output rows at a time so that the block being written
+  stays in a per-core L2 cache while the input streams past.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone,
   using multiplicativity and the prime-power recursion.
 
@@ -31,7 +33,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,8 +70,12 @@ _INT64 = 1 << 63
 # MAX_TABLE has sum|w| <= about 2 n <= 2^28 for every series.
 _LIMB_BITS = 32
 _HEADROOM = _INT64  # a limb is carried before a pass once max|x| * sum|w| reaches it
+# Output rows of one shifted-add pass block: 2^16 int64 rows are 512 KB, so a
+# block stays in a 2 MB per-core L2 while its terms add into it.
+_PASS_BLOCK = 1 << 16
 
 _BUILTIN_SHAPES = {BUILTIN_DELTA: (12, 1), BUILTIN_11A: (2, 11)}
+_READ_CHUNK = 1 << 12  # indices per indexed read of CoeffTable.iter_a
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,20 @@ class CoeffTable:
         if not 1 <= n <= self.n_max:
             raise TableTooSmallError(f"index {n} outside table range 1..{self.n_max}")
         return int(self._values[n - 1])
+
+    def iter_a(self, ns) -> Iterator[int]:
+        """a(n) for each n of ns, all in 1..n_max, as Python ints.
+
+        One indexed read per _READ_CHUNK indices replaces a call of ``a`` per
+        index, and only one chunk's ints are alive at a time.
+        """
+        idx = np.asarray(ns, dtype=np.int64)
+        if len(idx) and not (1 <= idx.min() and idx.max() <= self.n_max):
+            raise TableTooSmallError(
+                f"indices {idx.min()}..{idx.max()} outside table range 1..{self.n_max}"
+            )
+        for st in range(0, len(idx), _READ_CHUNK):
+            yield from self._values[idx[st:st + _READ_CHUNK] - 1].tolist()
 
     def primes(self) -> list[int]:
         """All primes <= n_max, ascending (cached)."""
@@ -291,19 +311,32 @@ def _shift_pass(cur, out, series, scratch) -> None:
     """out = cur times the sparse series, truncated to len(cur), in int64.
 
     Exact when max|cur| * sum|w| < 2^63, which ``_carry`` ensures for every
-    limb.  A weight other than +-1 multiplies into ``scratch``.
+    limb.  The pass fills ``_PASS_BLOCK`` output rows at a time, adding the
+    terms into a block up to the first exponent past its end, so the series'
+    exponents must ascend.  The 512 KB block stays in a per-core L2 cache
+    across all its terms while ``cur`` streams past; a whole-array add per
+    term would refetch the output from L3 every time.  A weight other than
+    +-1 multiplies into ``scratch``, which needs min(len(cur), _PASS_BLOCK)
+    rows.
     """
     n = len(cur)
-    out[:] = 0
-    for g, w in zip(series[0].tolist(), series[1].tolist()):
-        if w == 1:
-            out[g:] += cur[: n - g]
-        elif w == -1:
-            out[g:] -= cur[: n - g]
-        else:
-            part = scratch[: n - g]
-            np.multiply(cur[: n - g], w, out=part)
-            out[g:] += part
+    exps, weights = series[0].tolist(), series[1].tolist()
+    for b0 in range(0, n, _PASS_BLOCK):
+        b1 = min(b0 + _PASS_BLOCK, n)
+        out[b0:b1] = 0
+        for g, w in zip(exps, weights):
+            if g >= b1:
+                break
+            lo = max(b0, g)
+            src, dst = cur[lo - g:b1 - g], out[lo:b1]
+            if w == 1:
+                dst += src
+            elif w == -1:
+                dst -= src
+            else:
+                part = scratch[:b1 - lo]
+                np.multiply(src, w, out=part)
+                dst += part
 
 
 def _peak(x: np.ndarray) -> int:
@@ -343,7 +376,9 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
 
     The two longest sparse series multiply in int64; each of the others runs
     as one shifted-add pass per limb after ``_carry``, and the limbs combine
-    into exact Python ints when there is more than one.
+    into exact Python ints when there is more than one.  A pass writes
+    ``_PASS_BLOCK`` rows at a time, a block that stays in L2 while every
+    term adds into it, so ``scratch`` holds one block.
     """
     first, second, *rest = _sparse_series(factors, n_max - 1)
     totals = [int(np.abs(w).sum()) for _, w in rest]
@@ -352,7 +387,7 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
     limbs = [_sparse_product(first, second, n_max)]
     spare = np.empty_like(limbs[0])
     weighted = any(int(np.abs(w).max()) > 1 for _, w in rest)
-    scratch = np.empty_like(spare) if weighted else None
+    scratch = np.empty(min(n_max, _PASS_BLOCK), dtype=np.int64) if weighted else None
     for series, total in zip(rest, totals):
         _carry(limbs, total)
         for j, limb in enumerate(limbs):
@@ -385,7 +420,9 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     longest multiply sparse by sparse; the rest run as shifted-add passes,
     exact in int64 on 32-bit limbs that carry before a pass whenever
     max|limb| * sum|w| would reach 2^63.  The level-11 form never needs a
-    second limb.
+    second limb.  Each pass fills its output 2^16 rows (512 KB) at a time,
+    a block that stays in a per-core L2 cache while all the series' terms
+    add into it.
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError

@@ -196,7 +196,7 @@ class ConstructivePipeline:
         # the solves of one target try these pools in turn, the full pool last
         pools: list[list[int]] = []
         if self.k == 1:
-            partners = [self.S.sums[table.a(p)][0] for p in self.pool]
+            partners = [self.S.sums[ap][0] for ap in table.iter_a(self.pool)]
             cap = PARTNER_CAP
             while cap < table.n_max:
                 pools.append([p for p, q in zip(self.pool, partners) if q <= cap])
@@ -329,17 +329,27 @@ def _probe(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int):
     Probes PROBE_CHUNK rows of firsts at a time with one searchsorted for the
     windows' low ends, and yields that chunk's hit rows s1, in the order of
     firsts, with lo, the index in the ascending array sums2 of each window's
-    first entry.  No temporary outgrows a chunk, and a caller that stops
-    early leaves the later chunks unprobed.  Every low end must fit int64.
+    first entry.  The low ends, the entries they find and the hit mask fill
+    buffers of one chunk allocated once per call; only searchsorted, which
+    has no out=, returns a fresh array per chunk.  A caller that stops early
+    leaves the later chunks unprobed.  Every low end, and its difference
+    from every entry of sums2, must fit int64.
     """
     if not len(sums2):
         return
+    rows = min(len(firsts), PROBE_CHUNK)
+    low_rows, found_rows = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    hit_rows = np.empty(rows, bool)
     for st in range(0, len(firsts), PROBE_CHUNK):
         a = firsts[st:st + PROBE_CHUNK]
-        low = np.asarray((Z - width) - a, dtype=np.int64)
+        low, found, hit = low_rows[:len(a)], found_rows[:len(a)], hit_rows[:len(a)]
+        np.subtract(Z - width, a, out=low, casting="unsafe")  # object rows cast exactly or raise
         lo = np.searchsorted(sums2, low)
-        hit = sums2.take(lo, mode="clip") <= low + 2 * width
-        hit &= lo < len(sums2)
+        sums2.take(lo, mode="clip", out=found)
+        # found - low lies in [0, 2 width] exactly on a hit; past the end of
+        # sums2 it is negative, which the unsigned view puts above 2 width
+        np.subtract(found, low, out=found)
+        np.less_equal(found.view(np.uint64), 2 * width, out=hit)
         yield a[hit], lo[hit]
 
 

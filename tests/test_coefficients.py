@@ -178,6 +178,56 @@ class TestSeriesKernel:
         else:
             assert max(growth) >= 2  # the top limb splits more than once in one carry
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("name,descriptor,headroom", [
+        ("delta", DELTA, None),
+        ("delta", DELTA, 1 << 20),
+        ("11a", FORM_11A, None),
+        ("11a", FORM_11A, 1 << 5),
+    ])
+    def test_blocked_passes_match_naive(self, monkeypatch, block, name, descriptor, headroom):
+        # tiny blocks split every pass into many; a low headroom runs them on several limbs
+        monkeypatch.setattr(coefficients, "_PASS_BLOCK", block)
+        if headroom is not None:
+            monkeypatch.setattr(coefficients, "_HEADROOM", headroom)
+        limbs, at_start, past_end = [], False, False
+        carry, shift_pass = coefficients._carry, coefficients._shift_pass
+
+        def carry_spy(parts, total):
+            carry(parts, total)
+            limbs.append(len(parts))
+
+        def pass_spy(cur, out, series, scratch):
+            nonlocal at_start, past_end
+            n = len(cur)
+            for g in series[0].tolist():
+                at_start |= 0 < g < n and g % block == 0  # the term starts a block
+                past_end |= block <= g < n  # the term lies wholly past the first block
+            shift_pass(cur, out, series, scratch)
+
+        monkeypatch.setattr(coefficients, "_carry", carry_spy)
+        monkeypatch.setattr(coefficients, "_shift_pass", pass_spy)
+        for n in (1, 2, 37, 300):
+            table = expand_eta_product(descriptor, n)
+            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
+        assert at_start and past_end
+        assert (max(limbs) > 1) == (headroom is not None)
+
+    def test_weighted_pass_with_one_block_of_scratch(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_PASS_BLOCK", 16)
+        rng = np.random.default_rng(16)
+        n = 100  # seven blocks, the last one short
+        cur = rng.integers(-(1 << 40), 1 << 40, size=n)
+        # 16 and 64 start blocks; 99 lies past the end of every block but the last
+        exps = np.array([0, 3, 16, 17, 40, 64, 95, 99])
+        weights = np.array([5, -1, 1, -7, 3, 2, -3, 9])
+        out, scratch = np.empty(n, dtype=np.int64), np.empty(16, dtype=np.int64)
+        coefficients._shift_pass(cur, out, (exps, weights), scratch)
+        expected = np.zeros(n, dtype=object)
+        for g, w in zip(exps.tolist(), weights.tolist()):
+            expected[g:] += w * cur[: n - g].astype(object)
+        assert out.tolist() == expected.tolist()
+
     # limbs from the bottom up: "big" ones hold entries at and past the carry
     # edge and the int64 extremes, "inside" ones stop one short of the edge
     @pytest.mark.parametrize("kinds", [
@@ -471,6 +521,18 @@ class TestStorage:
             assert (records, indices) == _running_maximum_records(values)
             assert all(type(v) is int for v in records + indices)
             assert table.max_positive() == records[-1] == max(values)
+
+    def test_iter_a_reads_chunk_by_chunk(self, monkeypatch, f11a_1k, delta_1300):
+        monkeypatch.setattr(coefficients, "_READ_CHUNK", 7)
+        for table in (f11a_1k, delta_1300):
+            ns = [1000, 1, 2, 997, 13, 13, *range(500, 530)]  # any order, repeats allowed
+            got = list(table.iter_a(ns))
+            assert got == [table.a(n) for n in ns]
+            assert all(type(v) is int for v in got)
+            assert list(table.iter_a([])) == []
+            for bad in ([5, table.n_max + 1], [0, 5], [-3]):
+                with pytest.raises(TableTooSmallError, match="outside table range"):
+                    next(table.iter_a(bad))
 
     def test_value_beyond_int64_rejected(self):
         values = [1, -24, 252, 2**63]
