@@ -456,22 +456,124 @@ class TestSearchTables:
         assert not list(decomposer._probe(firsts[:1], sums2, 0, 3))[0][0].size
         assert list(decomposer._probe(firsts, sums2[:0], 0, 3)) == []
 
-    def test_meet_stops_at_the_cap(self, monkeypatch, small_searcher):
-        sd = small_searcher
-        monkeypatch.setattr(decomposer, "PROBE_CHUNK", 1)
-        probe, drawn = decomposer._probe, []
+    @pytest.fixture(scope="class")
+    def mirrored(self):
+        # 300..316 and their negatives put 2j + 1 two-sum splits on Z = ±(1200 + 2j)
+        # for j <= 16, j + 1 of them in the lower half s1 <= Z // 2; 32 + 32 and
+        # 32 + 33 are band rows at s1 = BAND_LIMIT // 2 and one past it
+        values = [1, *range(300, 317), *range(-316, -299), 32, 33]
+        return CoeffTable(DELTA, len(values), values)
 
-        def counting(*args):
-            for chunk in probe(*args):
-                drawn.append(chunk)
+    @pytest.fixture
+    def mirror_searcher(self, monkeypatch, mirrored):
+        # every value is in the 2-sum pool, whose table holds about 700 entries
+        monkeypatch.setattr(SearchDecomposer, "HALF_SUM_BUDGET", 1000)
+        return SearchDecomposer(mirrored)
+
+    @staticmethod
+    def _counting_probe(monkeypatch):
+        """Patch _probe to record the rows of firsts each drawn chunk covers."""
+        probe, rows = decomposer._probe, []
+
+        def counting(firsts, *args):
+            starts = range(0, len(firsts), decomposer.PROBE_CHUNK)
+            for st, chunk in zip(starts, probe(firsts, *args)):
+                rows.append(len(firsts[st:st + decomposer.PROBE_CHUNK]))
                 yield chunk
 
         monkeypatch.setattr(decomposer, "_probe", counting)
-        Z = 820  # 400 + 420, ..., 420 + 400 over the 2-sums of 200..218
-        pairs = sd._meet(Z, 2, 2)
-        firsts = _first_half(sd, Z, 2, 2)
+        return rows
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_self_join_mirror_edges(self, monkeypatch, mirror_searcher, chunk):
+        sd = mirror_searcher
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        cap = decomposer.CANDIDATE_CAP
+        sums2 = set(sd._half_table(2).tolist())
+        lower_halves, diagonals = set(), set()
+        for j in (14, 15, 16, 30):
+            for Z in (1200 + 2 * j, 1201 + 2 * j, -1200 - 2 * j, -1201 - 2 * j):
+                pairs = sd._meet(Z, 2, 2)
+                assert pairs == _brute_meet(sd, Z, 2, 2), Z
+                firsts = _first_half(sd, Z, 2, 2)
+                lower_halves.add(sum(s1 <= Z // 2 and Z - s1 in sums2 for s1 in firsts))
+                if Z % 2 == 0 and (Z // 2, Z // 2) in pairs:
+                    assert pairs.count((Z // 2, Z // 2)) == 1  # the diagonal split, once
+                    diagonals.add(Z)
+        assert {cap - 1, cap, cap + 1} <= lower_halves
+        assert {1228, 1230, -1228, -1230} <= diagonals  # 15th and 16th of the splits
+        band = sd._band_pairs(2, 2)
+        assert band == _brute_band(sd, 2, 2)
+        m = decomposer.BAND_LIMIT // 2
+        assert {m, m + 1} <= {s1 for group in band.values() for s1, _ in group}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_probe_on_unsorted_rows_with_repeats(self, monkeypatch, chunk):
+        # the h1 = 1 rows: the table's values in index order; each chunk's
+        # slice of sums2 then spans the chunk's lowest to highest low end
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        sums2 = np.array([-9, -4, 0, 3, 10], dtype=np.int64)
+        firsts = np.array([7, -5, 7, 0, -30, 13, 2, 2, -5, 9], dtype=np.int64)
+        for Z in range(-20, 21):
+            got = [row for s1, lo in decomposer._probe(firsts, sums2, Z, 0)
+                   for row in zip(s1.tolist(), lo.tolist())]
+            expected = [(s1, sums2.tolist().index(Z - s1)) for s1 in firsts.tolist()
+                        if Z - s1 in sums2.tolist()]
+            assert got == expected, Z
+
+    def test_probe_miss_at_the_slice_end(self, monkeypatch):
+        # one chunk of rows 4, -2 at Z = 0: low ends -4, 2 give the slice
+        # sums2[1:3]; row -2's search ends at b1 = 3 < len(sums2), whose entry
+        # 3 lies outside the row's window, so that row is no hit
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", 2)
+        sums2 = np.array([-9, -4, 0, 3, 10], dtype=np.int64)
+        chunks = list(decomposer._probe(np.array([4, -2], dtype=np.int64), sums2, 0, 0))
+        assert [(s1.tolist(), lo.tolist()) for s1, lo in chunks] == [([4], [1])]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_probe_matches_a_whole_array_search(self, monkeypatch, chunk):
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(200):
+            sums2 = np.unique(rng.integers(-60, 61, size=rng.integers(1, 30)))
+            unsorted = rng.integers(-80, 81, size=rng.integers(0, 20))
+            Z, width = int(rng.integers(-40, 41)), int(rng.integers(0, 6))
+            for firsts in (unsorted, np.sort(unsorted)):
+                lo = np.searchsorted(sums2, Z - width - firsts)
+                hit = (lo < len(sums2)) & (sums2.take(lo, mode="clip") <= Z + width - firsts)
+                expected = list(zip(firsts[hit].tolist(), lo[hit].tolist()))
+                got = [row for s1, lo in decomposer._probe(firsts, sums2, Z, width)
+                       for row in zip(s1.tolist(), lo.tolist())]
+                assert got == expected, (firsts, sums2, Z, width)
+
+    def test_meet_stops_at_the_cap(self, monkeypatch, small_searcher, mirror_searcher):
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", 1)
+        rows = self._counting_probe(monkeypatch)
+        cap = decomposer.CANDIDATE_CAP
+        # Z = 820 has 21 splits 400 + 420, ..., 420 + 400 over the 2-sums of
+        # 200..218; the self-join draws exactly the 11 rows s1 <= 410 and
+        # mirrors the first 5 of them to fill the cap
+        pairs = small_searcher._meet(820, 2, 2)
+        assert len(pairs) == cap and len(rows) == 11
+        assert pairs == _brute_meet(small_searcher, 820, 2, 2)
+        # Z = 1232 has 33 splits, 17 of them with s1 <= 616: the cap fills
+        # on the 16th probed row, and the walk stops there
+        rows.clear()
+        pairs = mirror_searcher._meet(1232, 2, 2)
+        lower = [s1 for s1 in _first_half(mirror_searcher, 1232, 2, 2) if s1 <= 616]
+        assert len(pairs) == cap and len(rows) == lower.index(pairs[-1][0]) + 1 == cap < len(lower)
+
+    def test_six_sum_self_join_probes_the_lower_half(self, monkeypatch, delta_searcher, delta_1k):
+        # the ell = 6 meet of the 6-sum target below; a full walk of its
+        # window draws about 4.2·10^6 rows before the cap fills, the mirrored
+        # walk draws only the 3-sums <= Z // 2 (about 1.6·10^6)
+        sd = delta_searcher
+        Z = sum(delta_1k.a(i) for i in (17, 58, 133, 201, 256, 300))
+        sums3 = sd._half_table(3)
+        rows = self._counting_probe(monkeypatch)
+        pairs = sd._meet(Z, 3, 3)
         assert len(pairs) == decomposer.CANDIDATE_CAP
-        assert len(drawn) == firsts.index(pairs[-1][0]) + 1 < len(firsts)
+        assert sum(rows) <= np.searchsorted(sums3, Z // 2, "right")
 
     def test_six_sum_meet_holds_one_chunk(self, delta_searcher, delta_1k):
         sd = delta_searcher
@@ -488,7 +590,8 @@ class TestSearchTables:
             tracemalloc.stop()
         assert d.ell == 6 and verify_decomposition(d, delta_1k).ok
         # The 3 + 3 meet probes a 6·10^6-entry table of 3-sums.  One chunk of
-        # 2^18 rows needs about four 2 MB temporaries; probing the whole table
-        # at once made three 48 MB arrays (about 140 MB in all).  32 MB is
-        # below a single table-sized array and well above one chunk.
+        # PROBE_CHUNK rows (2^14) needs about four 128 KB temporaries; probing
+        # the whole table at once made three 48 MB arrays (about 140 MB in
+        # all).  32 MB is below a single table-sized array and well above one
+        # chunk.
         assert peak < 32 * 2**20
