@@ -2,9 +2,10 @@
 
 Both builtins are eta products, so the whole q-expansion comes from sparse
 series: Jacobi's identity for each cube of eta, Euler's pentagonal series
-for what is left, one sparse-by-sparse product and exact int64 passes until
-the values outgrow int64.  The interesting part is that the same
-table can be rebuilt from its prime entries alone, which gives a free
+for what is left, one sparse-by-sparse product and exact int64 passes that
+carry into 32-bit limbs before any value could outgrow int64, so no pass
+leaves int64.  The interesting part is that the same table can be rebuilt
+from its prime entries alone by the Hecke relation, which gives a free
 cross-check of every composite index.
 """
 

@@ -9,8 +9,10 @@ each other so they can cross-check:
   by sparse, and the rest run as shifted-add passes, one block of
   ``_PASS_BLOCK`` output rows at a time so that the block being written
   stays in a per-core L2 cache while the input streams past.
-* ``hecke_extend`` rebuilds the full table from prime coefficients alone,
-  using multiplicativity and the prime-power recursion.
+* ``hecke_extend`` rebuilds the full table from prime coefficients alone by
+  the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
+  ``check_identities`` check: for composite n = p q with p = spf(n),
+  a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p).
 
 All stored coefficients are exact integers.  Every pass runs in exact
 int64: a partial product is a short list of limbs, value = sum_j limb_j
@@ -118,6 +120,18 @@ def builtin_descriptor(name: str) -> NewformDescriptor:
         raise ValueError(f"unknown builtin form {name!r}; choose from {sorted(_BUILTIN_NAMES)}")
 
 
+def _storage(descriptor: NewformDescriptor, n_max: int, values) -> np.ndarray:
+    """values as a table to n_max stores them: int64 if 2 * n_max^k < 2^63, else object."""
+    bound = 2 * n_max**descriptor.k
+    try:
+        return np.asarray(values, dtype=np.int64 if bound < _INT64 else object)
+    except OverflowError:
+        raise IntegrityError(
+            f"a value does not fit int64, the storage selected by the coefficient "
+            f"bound 2 * n_max^k = {bound} < 2^63; corrupt data"
+        ) from None
+
+
 class CoeffTable:
     """Immutable table of coefficients a(1..n_max) for one newform.
 
@@ -136,15 +150,7 @@ class CoeffTable:
             raise ValueError("n_max must be >= 1")
         if len(values) != n_max:
             raise ValueError(f"expected {n_max} values, got {len(values)}")
-        bound = 2 * n_max**descriptor.k
-        dtype = np.int64 if bound < 2**63 else object
-        try:
-            values = np.asarray(values, dtype=dtype)
-        except OverflowError:
-            raise IntegrityError(
-                f"a value does not fit int64, the storage selected by the coefficient "
-                f"bound 2 * n_max^k = {bound} < 2^63; corrupt data"
-            ) from None
+        values = _storage(descriptor, n_max, values)
         self.descriptor = descriptor
         self.n_max = n_max
         self._values = values
@@ -340,7 +346,7 @@ def _shift_pass(cur, out, series, scratch) -> None:
 
 
 def _peak(x: np.ndarray) -> int:
-    return max(int(x.max()), -int(x.min()))
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _carry(limbs: list[np.ndarray], total: int) -> None:
@@ -439,58 +445,62 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     return table
 
 
+def _hecke_values(descriptor: NewformDescriptor, a, p, q) -> np.ndarray:
+    """The Hecke relation's a(p q) for int64 rows p (the smallest prime factor
+    of p q) and q, from values a with a(n) = a[n - 1].  Exact: in int64 when a
+    bound on the operands keeps every row below 2^63, else in Python ints."""
+    pk = descriptor.weight - 1
+    ap, aq = a[p - 1], a[q - 1]
+    hit = (q % p == 0) & (descriptor.level % p != 0)
+    ph, ar = p[hit], a[q[hit] // p[hit] - 1]
+    if a.dtype == object or (_peak(ap) * _peak(aq)
+                             + int(ph.max(initial=1)) ** pk * max(_peak(ar), 1) >= _INT64):
+        ap, aq, ph, ar = (x.astype(object) for x in (ap, aq, ph, ar))
+    out = ap * aq
+    out[hit] -= ph**pk * ar
+    return out
+
+
 def _spot_check(table: CoeffTable) -> None:
-    """Cheap internal consistency check after a fresh expansion: the
-    prime-square identity at the first five primes not dividing the level."""
-    pk = table.weight - 1
-    checked = 0
-    for p in table.primes():
-        if p * p > table.n_max or checked >= 5:
-            break
-        if table.level % p == 0:
-            continue
-        if table.a(p) ** 2 - table.a(p * p) != p**pk:
-            raise VerificationError(f"prime-square identity fails at p={p}")
-        checked += 1
+    """The Hecke relation at every prime power p^e <= n_max with e >= 2, level
+    primes included: a fresh expansion then equals ``hecke_extend`` of its own
+    primes there.  Raises VerificationError naming the first n that fails."""
+    rows = [(p, p**e) for p in primes_up_to(isqrt(table.n_max))
+            for e in range(1, table.n_max.bit_length()) if p ** (e + 1) <= table.n_max]
+    p, q = np.array(rows, dtype=np.int64).reshape(-1, 2).T  # n = p q = p^(e + 1)
+    n = p * q
+    bad = n[table._values[n - 1] != _hecke_values(table.descriptor, table._values, p, q)]
+    if len(bad):
+        raise VerificationError(f"Hecke relation fails at n={bad.min()}")
 
 
 def hecke_extend(
     descriptor: NewformDescriptor, prime_coeffs: Mapping[int, int], n_max: int
 ) -> CoeffTable:
-    """Full table from prime coefficients via multiplicativity and recursion.
-
-    ``prime_coeffs`` must cover every prime <= n_max.  n_max > ``MAX_TABLE``
-    raises MemoryGuardError before anything is allocated.
-    """
+    """Full table from the prime coefficients (every prime <= n_max) by the Hecke
+    relation: each round fills every composite n whose q = n / spf(n) is known,
+    so q / p is known too; round r fills the n with r + 1 prime factors.  n_max >
+    ``MAX_TABLE`` raises MemoryGuardError before anything is allocated; a value
+    that does not fit int64 storage raises IntegrityError."""
     _check_table_size(n_max)
-    for q in primes_up_to(n_max):
-        if q not in prime_coeffs:
-            raise IntegrityError(f"missing prime coefficient a({q})")
-    level = descriptor.level
-    pk_exp = descriptor.weight - 1
-    spf = smallest_prime_factors(n_max).tolist()
-    vals = [0] * n_max
-    vals[0] = 1
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m = n // p
-        if m == 1:
-            vals[n - 1] = int(prime_coeffs[p])
-        elif m % p:
-            vals[n - 1] = vals[p - 1] * vals[m - 1]
-        else:
-            pe = p * p
-            rest = m // p
-            while rest % p == 0:
-                pe *= p
-                rest //= p
-            if rest == 1:
-                if level % p == 0:
-                    vals[n - 1] = vals[p - 1] * vals[n // p - 1]
-                else:
-                    vals[n - 1] = vals[p - 1] * vals[n // p - 1] - p**pk_exp * vals[n // (p * p) - 1]
-            else:
-                vals[n - 1] = vals[pe - 1] * vals[rest - 1]
+    primes = prime_array(n_max)
+    try:
+        ap = [int(prime_coeffs[p]) for p in primes.tolist()]
+    except KeyError as missing:
+        raise IntegrityError(f"missing prime coefficient a({missing.args[0]})") from None
+    known = np.zeros(n_max + 1, dtype=bool)
+    known[1] = known[primes] = True
+    vals = _storage(descriptor, n_max, np.zeros(n_max, dtype=np.int64))
+    vals[known[1:]] = _storage(descriptor, n_max, [1] + ap)
+    n = np.flatnonzero(~known)[1:]  # the composites
+    p = smallest_prime_factors(n_max)[n]
+    q = n // p
+    while len(n):
+        ready = known[q]
+        rhs = _hecke_values(descriptor, vals, p[ready], q[ready])
+        vals[n[ready] - 1] = _storage(descriptor, n_max, rhs)
+        known[n[ready]] = True
+        n, p, q = n[~ready], p[~ready], q[~ready]
     return CoeffTable(descriptor, n_max, vals)
 
 
@@ -588,7 +598,9 @@ def save_prime_table(table: CoeffTable, path: str | os.PathLike) -> None:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Violation lists from check_identities; all empty on a valid table."""
+    """Violation lists of Python ints, ascending in n; all empty on a valid table.
+    A composite n off the Hecke relation gives (n, a(n), expected), a Hecke entry
+    when spf(n)^2 | n and a multiplicativity one otherwise; a size entry is (n, a(n))."""
 
     n_max: int
     hecke_violations: list
@@ -612,20 +624,6 @@ class IdentityReport:
             f"deligne={len(self.deligne_violations)} "
             f"divisor={len(self.divisor_bound_violations)}"
         )
-
-
-def _coprime_sample_pairs(n_max: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic spread of coprime pairs (m, n) with m < n and m*n <= n_max:
-    for m = 2..63 in turn, every step-th n above m that is coprime to m.  The
-    first ``limit`` pairs, as two int64 arrays."""
-    ms = np.arange(2, min(64, n_max // 2 + 1))
-    ns = []
-    for m in ms.tolist():
-        step = max(1, (n_max // m) // max(1, limit // 48))
-        n = np.arange(m + 1, n_max // m + 1, step)
-        ns.append(n[np.gcd(m, n) == 1])
-    ms = np.repeat(ms, [len(n) for n in ns])
-    return ms[:limit], (np.concatenate(ns) if ns else ms)[:limit]
 
 
 _SCREEN_MARGIN = 1e-9  # relative; far above the few roundings of the conversions, ** and products
@@ -667,12 +665,12 @@ def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
 def check_identities(table: CoeffTable) -> IdentityReport:
     """Scan the whole table for violations of its defining identities.
 
-    Checks the prime-square identity, multiplicativity on 2000 sampled coprime
-    pairs, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at primes not
-    dividing the level, and the divisor bound a(n)^2 <= d(n)^2 n^(2k-1) at
-    every index.  The identities compare exact integers; the two bounds are
-    screened in float64 and every entry the screen does not clear is decided
-    in exact integers (``_size_violations``).
+    Checks the Hecke relation at every composite n <= n_max, ``_SCREEN_BLOCK``
+    rows at a time, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at
+    primes not dividing the level, and the divisor bound a(n)^2 <= d(n)^2
+    n^(2k-1) at every index.  The relation compares exact integers; the two
+    bounds are screened in float64 and every entry the screen does not clear
+    is decided in exact integers (``_size_violations``).
     """
     vals = table._values
     n_max, level, pk = table.n_max, table.level, table.weight - 1
@@ -680,13 +678,14 @@ def check_identities(table: CoeffTable) -> IdentityReport:
     divisor = _size_violations(np.arange(1, n_max + 1), vals, d[1:], pk)
     # d(p) = 2, so at a prime the divisor bound is the Deligne bound
     deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
-    hecke = []
-    for p in prime_array(isqrt(n_max)).tolist():
-        ap, app = int(vals[p - 1]), int(vals[p * p - 1])
-        if level % p and ap * ap - app != p**pk:
-            hecke.append((p, ap, app))
-    m, n = _coprime_sample_pairs(n_max, 2000)
-    am, an, amn = (vals[i - 1].astype(object) for i in (m, n, m * n))  # exact products
-    bad = amn != am * an
-    mult = list(zip(m[bad].tolist(), n[bad].tolist()))
+    spf = smallest_prime_factors(n_max)
+    hecke, mult = [], []
+    for lo in range(2, n_max + 1, _SCREEN_BLOCK):
+        n = np.arange(lo, min(lo + _SCREEN_BLOCK, n_max + 1))
+        n = n[spf[n] < n]  # the composites
+        p, q = spf[n], n // spf[n]
+        expected = _hecke_values(table.descriptor, vals, p, q)
+        for i in np.flatnonzero(vals[n - 1] != expected).tolist():
+            entry = (int(n[i]), int(vals[n[i] - 1]), int(expected[i]))
+            (mult if q[i] % p[i] else hecke).append(entry)
     return IdentityReport(n_max, hecke, mult, deligne, divisor)

@@ -5,7 +5,7 @@ expansion below multiplies one (1 - q^j) factor at a time by direct
 convolution, the representation counter enumerates ordered tuples with
 nested loops, the singular series sums its definition term by term with
 ``cmath`` (no FFT, no multiplicativity), and the identity scan visits every
-index with exact Python ints (no float screen).  Expensive coefficient
+index with exact Python ints (no float screen, no sieve).  Expensive coefficient
 tables are session fixtures.
 """
 
@@ -94,42 +94,28 @@ def naive_singular_series(Z: int, s: int, e: int, q_max: int) -> float:
     return sum(naive_series_term(q, Z, s, e) for q in range(1, q_max + 1)).real
 
 
-def naive_coprime_sample_pairs(n_max: int, limit: int):
-    """The sampled multiplicativity pairs, one at a time: for m = 2..63, every
-    step-th n above m with gcd(m, n) = 1 and m*n <= n_max, stopping at limit."""
-    count = 0
-    for m in range(2, 64):
-        if m * 2 > n_max:
-            break
-        step = max(1, (n_max // m) // max(1, limit // 48))
-        for n in range(m + 1, n_max // m + 1, step):
-            if math.gcd(m, n) == 1:
-                yield m, n
-                count += 1
-                if count >= limit:
-                    return
-
-
 def naive_check_identities(table) -> IdentityReport:
-    """check_identities by a scalar scan: every prime, sampled pair and index in
-    exact Python ints, divisor counts by one slice add per divisor."""
+    """check_identities by a scalar scan: every prime and index in exact Python
+    ints, the smallest prime factor of each n by trial division, divisor counts
+    by one slice add per divisor."""
     level = table.level
     pk = table.weight - 1
-    hecke = []
     deligne = []
     for p in table.primes():
-        if level % p == 0:
-            continue
         ap = table.a(p)
-        ppk = p**pk
-        if ap * ap > 4 * ppk:
+        if level % p and ap * ap > 4 * p**pk:
             deligne.append((p, ap))
-        if p * p <= table.n_max and ap * ap - table.a(p * p) != ppk:
-            hecke.append((p, ap, table.a(p * p)))
-    mult = []
-    for m, n in naive_coprime_sample_pairs(table.n_max, 2000):
-        if table.a(m * n) != table.a(m) * table.a(n):
-            mult.append((m, n))
+    hecke, mult = [], []
+    for n in range(2, table.n_max + 1):
+        p = next((m for m in range(2, math.isqrt(n) + 1) if n % m == 0), n)
+        if p == n:
+            continue
+        q = n // p
+        expected = table.a(p) * table.a(q)
+        if q % p == 0 and level % p:
+            expected -= p**pk * table.a(q // p)  # a(p) a(q) = a(pq) + p^(2k-1) a(q/p)
+        if table.a(n) != expected:
+            (hecke if q % p == 0 else mult).append((n, table.a(n), expected))
     d = [0] * (table.n_max + 1)
     for i in range(1, table.n_max + 1):
         for j in range(i, table.n_max + 1, i):

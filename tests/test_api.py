@@ -39,6 +39,7 @@ def parameters(fn) -> list[str]:
     (coefficients._shift_pass, ["cur", "out", "series", "scratch"]),
     (decomposer._multiset_sums, ["vals", "h"]),
     (decomposer._probe, ["firsts", "sums2", "Z", "width"]),
+    (nb.hecke_extend, ["descriptor", "prime_coeffs", "n_max"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -56,3 +57,8 @@ def test_residue_tier_is_gone():
         assert not hasattr(coefficients, name)
     assert not hasattr(primes, "next_prime_below")
     assert not hasattr(nb, "next_prime_below") and "next_prime_below" not in nb.__all__
+
+
+def test_sampled_pairs_are_gone():
+    # check_identities checks the Hecke relation at every composite, not at sampled pairs
+    assert not hasattr(coefficients, "_coprime_sample_pairs")

@@ -17,6 +17,7 @@ from newform_basis import (
     MemoryGuardError,
     NewformDescriptor,
     TableTooSmallError,
+    VerificationError,
     builtin_descriptor,
     check_identities,
     expand_eta_product,
@@ -25,6 +26,12 @@ from newform_basis import (
     save_prime_table,
 )
 from newform_basis import coefficients
+from newform_basis.primes import primes_up_to
+
+
+@pytest.fixture(scope="module")
+def f11a_1m():
+    return expand_eta_product(FORM_11A, 10**6)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +93,20 @@ class TestEtaExpansion:
         with pytest.raises(ValueError):
             expand_eta_product(descriptor, 10)
 
+    @pytest.mark.parametrize("descriptor, n", [(DELTA, 8), (FORM_11A, 8), (FORM_11A, 121)])
+    def test_build_checks_every_prime_power(self, monkeypatch, descriptor, n):
+        # a(8) passes every prime-square identity; a(121) = a(11)^2 at the level prime
+        eta_values = coefficients._eta_values
+
+        def tampered(factors, n_max):
+            values = eta_values(factors, n_max)
+            values[n - 1] += 1
+            return values
+
+        monkeypatch.setattr(coefficients, "_eta_values", tampered)
+        with pytest.raises(VerificationError, match=f"^Hecke relation fails at n={n}$"):
+            expand_eta_product(descriptor, 200)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=240))
     def test_truncation_consistency(self, m):
@@ -117,6 +138,9 @@ def _recombine(limbs):
     for j, limb in enumerate(limbs):
         value += limb.astype(object) * (1 << (coefficients._LIMB_BITS * j))
     return value
+
+
+_F11A_1M_DIGEST = "b5c2edbe7aa465c17ca3c039f6634df1ed8c75be2e7824f9bcbc5ed484ef1c4c"
 
 
 def _digest(values):
@@ -294,14 +318,12 @@ class TestSeriesKernel:
         with pytest.raises(ValueError, match="too large for an exact int64 sparse product"):
             coefficients._sparse_product(wide, wide, 4)
 
-    def test_tables_pinned_by_digest(self, delta_100k):
+    def test_tables_pinned_by_digest(self, delta_100k, f11a_1m):
         # recorded from an independent build: one pentagonal pass per unit of power and modulus
         assert _digest(delta_100k._values) == (
             "eb660e7a4275e4b585754de8e3ce645f89b5844062d0490937b76e788276a318"
         )
-        assert _digest(expand_eta_product(FORM_11A, 10**6)._values) == (
-            "b5c2edbe7aa465c17ca3c039f6634df1ed8c75be2e7824f9bcbc5ed484ef1c4c"
-        )
+        assert _digest(f11a_1m._values) == _F11A_1M_DIGEST
 
     def test_peak_memory_is_two_arrays(self):
         n = 2 * 10**5
@@ -348,6 +370,16 @@ class TestHeckeExtend:
     def test_a1_is_one(self):
         table = hecke_extend(DELTA, {2: -24}, 2)
         assert table.a(1) == 1
+
+    def test_rebuild_of_the_pinned_level_11_table(self, f11a_1m):
+        ap = dict(zip(f11a_1m.primes(), f11a_1m.iter_a(f11a_1m.primes())))
+        assert _digest(hecke_extend(FORM_11A, ap, 10**6)._values) == _F11A_1M_DIGEST
+
+    def test_values_beyond_int64_storage_rejected(self):
+        # 2 * 16^6 < 2^63 selects int64 storage; a(4) = 2^80 - 2^11 does not fit it
+        ap = {p: 1 for p in primes_up_to(16)} | {2: 2**40}
+        with pytest.raises(IntegrityError, match="does not fit int64"):
+            hecke_extend(DELTA, ap, 16)
 
 
 def _factored_value(table, n):
@@ -477,12 +509,32 @@ class TestCheckIdentities:
             assert report.ok, report.summary()
 
     def test_detects_tampering(self, delta_1k):
-        values = [delta_1k.a(n) for n in range(1, 1001)]
-        values[3] = 0  # a(4) := 0
-        bad = CoeffTable(DELTA, 1000, values)
-        report = check_identities(bad)
-        assert any(p == 2 for p, *_ in report.hecke_violations)
+        # a(4) := 0 breaks the relation at 4 and at the two n whose relation reads a(4)
+        report = check_identities(_with_value(delta_1k, 4, 0))
+        assert report.hecke_violations == [(4, 0, -1472), (8, 84480, 49152), (16, 987136, -2027520)]
+        assert report.multiplicativity_violations == []
         assert not report.ok
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 121, 420, 512, 961, 999, 1000])
+    def test_composite_off_by_one_reported_at_n(self, delta_1k, f11a_1k, n):
+        for table in (delta_1k, f11a_1k):
+            report = check_identities(_with_value(table, n, table.a(n) + 1))
+            first = min(report.hecke_violations + report.multiplicativity_violations)
+            assert first == (n, table.a(n) + 1, table.a(n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(primes_up_to(500)))
+    def test_prime_off_by_one_reported_at_twice_the_prime(self, delta_1k, f11a_1k, p):
+        # the first composite whose relation reads a(p) is 2p, where a(2p) = a(2) a(p)
+        for table in (delta_1k, f11a_1k):
+            report = check_identities(_with_value(table, p, table.a(p) + 1))
+            entries = report.hecke_violations + report.multiplicativity_violations
+            assert min(entries)[0] == 2 * p
+
+    def test_entries_past_int64_are_exact(self, delta_1k):
+        report = _matches_scalar_oracle(_with_value(delta_1k, 2, 2**62 - 1))
+        # a(2)^2 passes 2^63, so the relation at 4 is evaluated in Python ints
+        assert report.hecke_violations[0] == (4, -1472, (2**62 - 1) ** 2 - 2**11)
 
     def test_detects_deligne_violation(self):
         values = [1, 100] + [0] * 8
