@@ -1,10 +1,13 @@
 """Representations of integers as sums of prime powers.
 
-Counts are exact ordered-tuple counts that meet in the middle (the
-ceil(s/2)- and floor(s/2)-term layers joined by one dot product); the
-truncated singular series and its main-term companion show how strongly
-the arithmetic of Z (here: its class mod 9, for cubes) modulates the
-solution count.  The solver finds one explicit representation.
+Counts are exact ordered-tuple counts that meet in the middle: the
+ceil(s/2)- and floor(s/2)-term layers are joined by one dot product, and a
+layer is kept as its distinct sums built from pair sums (eight cubes: a few
+thousand sums, not 10^6 cells) until a pair list would outgrow a dense layer
+of Z + 1 cells (ternary Goldbach: at once).  The truncated singular series
+and its main-term companion show how strongly the arithmetic of Z (here: its
+class mod 9, for cubes) modulates the solution count.  The solver finds one
+explicit representation.
 """
 
 from newform_basis import count_representations, find_solution, hua_constants, hua_main_term, singular_series

@@ -36,6 +36,9 @@ from .waring_goldbach import (
 )
 
 _BUILTINS = ("delta", "11a")
+# ell with a(p) = 1 + p^(weight - 1) (mod ell) at every prime p not dividing the
+# level: Ramanujan's congruence mod 691 for delta, the Eisenstein one mod 5 for 11a
+_CONGRUENCE_MODULUS = {"delta": 691, "11a": 5}
 
 
 def _cache_path(cache_dir: str, form: str, n_max: int) -> str:
@@ -43,7 +46,15 @@ def _cache_path(cache_dir: str, form: str, n_max: int) -> str:
 
 
 def _table_for(form: str, n_max: int, cache_dir: str | None) -> CoeffTable:
-    """Build or load the coefficient table for a builtin name or a file path."""
+    """Build or load the coefficient table for a builtin name or a file path.
+
+    A builtin form's cache file is checked before ``hecke_extend`` rebuilds
+    from it: its primes <= 200 against a fresh expansion, then every cached
+    prime p not dividing the level against the form's congruence
+    a(p) = 1 + p^(weight - 1) (mod ``_CONGRUENCE_MODULUS``), and the first
+    failing p raises ``IntegrityError``.  A value changed by a multiple of
+    that modulus still passes both checks.
+    """
     if form in _BUILTINS:
         descriptor = builtin_descriptor(form)
         if cache_dir:
@@ -58,6 +69,10 @@ def _table_for(form: str, n_max: int, cache_dir: str | None) -> CoeffTable:
                 for p in probe.primes():
                     if coeffs.get(p) != probe.a(p):
                         raise IntegrityError(f"cache {path} failed the spot check at p={p}")
+                ell, k1 = _CONGRUENCE_MODULUS[form], descriptor.weight - 1
+                for p, ap in coeffs.items():  # ascending, as load_newform checks
+                    if descriptor.level % p and (ap - 1 - pow(p, k1, ell)) % ell:
+                        raise IntegrityError(f"cache {path} failed the congruence check at p={p}")
                 return hecke_extend(descriptor, coeffs, n_max)
         table = expand_eta_product(descriptor, n_max)
         if cache_dir:

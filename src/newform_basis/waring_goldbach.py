@@ -1,13 +1,18 @@
 """Sums of prime powers: local constants, exact counts, solutions, and the
 truncated singular series with its main-term companion.
 
-Counting meets in the middle over ordered tuples: the array T_j[v] holds the
+Counting meets in the middle over ordered tuples: the layer T_j[v] holds the
 number of ordered j-tuples of allowed prime e-th powers summing to v, and the
-ordered representation count is sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v],
-one dot product of the two half layers.  Layers and that product run in int64
-and escalate to exact Python integers if a bound check ever finds int64
-headroom too small.  The singular series runs its exponential sums only at
-prime powers q = p^m, with exact integer residue arithmetic on arrays
+ordered representation count is sum_v T_ceil(s/2)[Z - v] * T_floor(s/2)[v],
+one dot product of the two half layers.  A layer is held as its support (the
+distinct sums <= Z with their counts, built from pair sums) while the pair
+list is no longer than one dense layer of Z + 1 cells, and as Z + 1 cells
+from the first step where it would be.  Eight cubes never allocate an array
+of Z + 1 cells; Goldbach-type counts (e = 1 over every prime) go dense at the
+first step, since pi(Z)^2 > Z + 1 from Z = 5 on.  Layers and that product run
+in int64 and escalate to exact Python integers if a bound check ever finds
+int64 headroom too small.  The singular series runs its exponential sums only
+at prime powers q = p^m, with exact integer residue arithmetic on arrays
 (counting power residues, then one FFT of length q); every composite q takes
 the product of its prime-power local factors, since the q-term is
 multiplicative in q by the Chinese remainder theorem.  The q-terms are
@@ -147,6 +152,23 @@ def _allowed_powers(
     return allowed, bisect_right(allowed.powers, Z)
 
 
+def _pair_sums(
+    keys: np.ndarray, T: np.ndarray, w: np.ndarray, Z: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next layer in support form: every sum k + x <= Z of a support entry
+    k = keys[i] (count T[i]) and an allowed power x in w, sorted, equal sums
+    merged by adding their counts.  A merged run has at most len(w) entries,
+    one per power."""
+    sums = np.add.outer(w, keys)
+    keep = sums <= Z
+    sums = sums[keep]
+    vals = np.broadcast_to(T, keep.shape)[keep]
+    order = sums.argsort()
+    sums, vals = sums[order], vals[order]
+    starts = np.flatnonzero(np.diff(sums, prepend=-1))
+    return sums[starts], np.add.reduceat(vals, starts)
+
+
 def count_representations(
     Z: int, s: int, e: int, *, allowed: Sequence[int] | PrimePowers | None = None
 ) -> int:
@@ -154,14 +176,22 @@ def count_representations(
 
     ``allowed`` defaults to every prime.  Meets in the middle: with T_j[v] the
     number of ordered j-tuples of allowed powers summing to v, the count is
-    sum_v T_ceil(s/2)[v] * T_floor(s/2)[Z - v], one dot product.  Layer 1 places
-    a 1 at each (distinct) allowed power; each further layer is one shifted add
-    per power, and T_floor(s/2) is the source of the last one, so at most two
-    layers of Z + 1 cells are alive.  A layer, and the final product, runs in
-    int64 only when a bound check shows that no cell or partial sum can pass
-    ``_INT64_GUARD``; otherwise it escalates to exact Python integers, so the
-    count is exact for every s and Z.  A layer of more than ``_MAX_DP_CELLS``
-    cells raises ``MemoryGuardError`` before anything is allocated.
+    sum_v T_hi[Z - v] * T_lo[v] over the support of T_lo, with lo = floor(s/2)
+    and hi = s - lo, one dot product.  Layer 1 is the (distinct) allowed
+    powers with count 1, held as its support: the ascending distinct sums
+    <= Z with their counts.  Each further layer comes from pair sums
+    (``_pair_sums``) while support size x power count is at most Z + 1, one
+    dense layer; from the first step where it is larger the layer is spread
+    over Z + 1 cells, and every further layer is one shifted add per power,
+    so the build stays dense.  The sparse side allocates no array of Z + 1
+    cells and no pair list longer than Z + 1; the dense side keeps at most two
+    layers of Z + 1 cells alive, since T_lo is the source of the last one.
+    The product reads T_hi at Z - v by index when T_hi is dense and by
+    ``searchsorted`` when it is sparse.  A layer, and the final product, runs
+    in int64 only when a bound check shows that no cell or partial sum can
+    pass ``_INT64_GUARD``; otherwise it escalates to exact Python integers, so
+    the count is exact for every s and Z.  Z + 1 above ``_MAX_DP_CELLS``
+    raises ``MemoryGuardError`` before anything is allocated.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -171,28 +201,43 @@ def count_representations(
     if not n:
         return 0
     powers = pool.powers[:n]
-    T = np.zeros(Z + 1, dtype=np.int64)
-    T[np.asarray(powers)] = 1
+    w = np.asarray(powers, dtype=np.int64)
+    keys, T = w, np.ones(n, dtype=np.int64)  # T_1 as its support; keys is None once dense
     lo = s // 2  # T_lo is kept for the product; the loop builds up to T_(s - lo)
-    low = T if lo == 1 else None
+    low = (keys, T) if lo == 1 else (np.zeros(1, np.int64), np.ones(1, np.int64))  # T_0 for s = 1
     for j in range(2, s - lo + 1):
         if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
             T = T.astype(object)  # exact big ints once int64 headroom runs out
-        U = np.zeros(Z + 1, dtype=T.dtype)
-        for w in powers:
-            U[w:] += T[: Z + 1 - w]
-        T = U
+        if keys is not None and len(keys) * n <= Z + 1:
+            keys, T = _pair_sums(keys, T, w, Z)
+            if not len(keys):  # no j-tuple fits under Z
+                return 0
+        else:
+            if keys is not None:  # the first step past one dense layer
+                D = np.zeros(Z + 1, dtype=T.dtype)
+                D[keys] = T
+                keys, T = None, D
+            U = np.zeros(Z + 1, dtype=T.dtype)
+            for x in powers:
+                U[x:] += T[: Z + 1 - x]
+            T = U
         if j == lo:
-            low = T
-    if not lo:  # s = 1
-        return int(T[Z])
-    low = low[::-1]  # low[v] = T_lo[Z - v]
-    # partial sums stay <= max(T) * sum(low), and sum(low) <= n^lo, max(low) * (Z + 1)
-    if T.dtype == object or (
-        int(T.max()) * min(n**lo, int(low.max()) * (Z + 1)) > _INT64_GUARD
-    ):
-        T, low = T.astype(object, copy=False), low.astype(object, copy=False)
-    return int(np.dot(T, low))
+            low = (keys, T)
+    lo_keys, lo_T = low
+    if lo_keys is None:  # both dense
+        hi, lo_v = T, lo_T[::-1]  # lo_v[v] = T_lo[Z - v]
+    elif keys is None:
+        hi, lo_v = T[Z - lo_keys], lo_T
+    else:
+        want = Z - lo_keys[::-1]  # ascending
+        at = keys.searchsorted(want)
+        hit = keys.take(at, mode="clip") == want
+        hi, lo_v = T[at[hit]], lo_T[::-1][hit]
+    # partial sums stay <= max(T_hi) * sum(T_lo), and sum(T_lo) <= n^lo, max(T_lo) * its cells
+    size = Z + 1 if lo_keys is None else len(lo_keys)
+    if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * size) > _INT64_GUARD:
+        hi, lo_v = hi.astype(object, copy=False), lo_v.astype(object, copy=False)
+    return int(np.dot(hi, lo_v))
 
 
 def find_solution(

@@ -40,6 +40,7 @@ def parameters(fn) -> list[str]:
     (decomposer._multiset_sums, ["vals", "h"]),
     (decomposer._probe, ["firsts", "sums2", "Z", "width"]),
     (nb.hecke_extend, ["descriptor", "prime_coeffs", "n_max"]),
+    (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected

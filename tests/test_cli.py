@@ -58,6 +58,24 @@ class TestCoeffs:
                                   "--cache-dir", str(cache)])
         assert rc == 1 and "spot check" in err
 
+    @pytest.mark.parametrize("form, n_max, p, old, new", [
+        ("11a", 2000, 1009, "-10", "-8"),  # a(p) = 1 + p (mod 5)
+        ("delta", 1000, 997, "-21400415987399554", "-21400415987399553"),  # tau(p) + 1, mod 691
+    ], ids=["11a", "delta"])
+    def test_cache_prime_above_the_spot_check_detected(self, capsys, tmp_path, form, n_max, p, old, new):
+        # a wrong value above 200 passes the spot check and the size bound, and
+        # hecke_extend rebuilds a table consistent with it; the congruence catches it
+        cache = str(tmp_path / "cache")
+        argv = ["coeffs", "--form", form, "--nmax", str(n_max), "--cache-dir", cache, "--check"]
+        assert run(capsys, argv)[0] == 0
+        path = tmp_path / "cache" / f"{form}-{n_max}.nft"
+        text = path.read_text(encoding="utf-8")
+        assert f"\n{p} {old}\n" in text
+        path.write_text(text.replace(f"\n{p} {old}\n", f"\n{p} {new}\n"), encoding="utf-8")
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == ""
+        assert f"failed the congruence check at p={p}" in err
+
 
 class TestSigns:
     def test_key_value_lines(self, capsys):

@@ -145,6 +145,88 @@ class TestCounts:
             find_solution(2, 2, 1, allowed=np.array([1, 2]))
 
 
+class TestSparseLayers:
+    """Layers held as supports (pair sums) until a pair list would pass one
+    dense layer of Z + 1 cells, then dense shifted adds."""
+
+    @staticmethod
+    def record_pair_steps(monkeypatch) -> list[tuple[int, np.dtype]]:
+        """(support size, count dtype) of every layer step taken by pair sums."""
+        steps = []
+        pair_sums = waring_goldbach._pair_sums
+        monkeypatch.setattr(waring_goldbach, "_pair_sums",
+                            lambda keys, T, w, Z: steps.append((len(keys), T.dtype)) or pair_sums(keys, T, w, Z))
+        return steps
+
+    def test_build_crosses_from_pair_sums_to_dense(self, monkeypatch):
+        # eight squares to 2000: T_2 (14 x 14 pairs) and T_3 (75 x 14) come from
+        # pair sums, T_4 (at least 2001 pairs) from the dense loop
+        table = naive_ordered_counts(2000, 8, 2, primes_up_to(2000))
+        for Z in range(1, 2001):
+            assert count_representations(Z, 8, 2) == table[Z], Z
+        steps = self.record_pair_steps(monkeypatch)
+        count_representations(2000, 8, 2)
+        assert [size for size, _ in steps] == [14, 75]
+
+    @pytest.mark.parametrize("e, z_max", [(2, 700), (3, 3000)])
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_matches_nested_loop_oracle(self, s, e, z_max):
+        table = naive_ordered_counts(z_max, s, e, primes_up_to(z_max))
+        for Z in range(1, z_max + 1, 3):
+            assert count_representations(Z, s, e) == table[Z], Z
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=6),
+           st.sampled_from([1, 2, 3]),
+           st.lists(st.sampled_from(primes_up_to(400)), max_size=40))
+    def test_allowed_lists_and_pools_match_oracle(self, Z, s, e, allowed):
+        # plain lists may repeat a prime and come unsorted; each prime counts once
+        distinct = sorted(set(allowed))
+        expected = naive_ordered_counts(Z, s, e, distinct)[Z]
+        assert count_representations(Z, s, e, allowed=allowed) == expected
+        assert count_representations(Z, s, e, allowed=prime_powers(distinct, e)) == expected
+
+    def test_edge_cases(self, monkeypatch):
+        steps = self.record_pair_steps(monkeypatch)
+        # T_3 is empty below 3 * 2^2: the build stops at the empty layer
+        assert count_representations(11, 8, 2) == 0
+        assert [size for size, _ in steps] == [2, 1]
+        assert [count_representations(Z, 5, 3) for Z in range(1, 40)] == [0] * 39
+        # s = 1: Z is one allowed power or not
+        assert count_representations(7**3, 1, 3) == 1
+        assert count_representations(7**3 + 1, 1, 3) == 0
+        assert count_representations(2, 1, 1) == 1 and count_representations(4, 1, 1) == 0
+        assert count_representations(11**2, 1, 2, allowed=[3, 11, 11]) == 1
+        # Z equal to one power: the largest allowed power is Z itself
+        assert count_representations(5**3, 2, 3) == 0
+        assert count_representations(13**2, 2, 2) == naive_ordered_counts(169, 2, 2, primes_up_to(13))[169]
+        assert count_representations(2**3, 1, 3, allowed=[2]) == 1
+        assert count_representations(2**3, 2, 3, allowed=[2]) == 0
+
+    def test_bigint_escalation_in_pair_sums_matches_int64(self, monkeypatch):
+        # the e = 3 twin of TestCounts.test_bigint_escalation_matches_int64:
+        # eight cubes below 3000 stay sparse, so the pair sums run on object counts
+        Zs = range(64, 3000, 29)
+        baseline = [count_representations(Z, 8, 3) for Z in Zs]
+        steps = self.record_pair_steps(monkeypatch)
+        monkeypatch.setattr(waring_goldbach, "_INT64_GUARD", 4)
+        assert [count_representations(Z, 8, 3) for Z in Zs] == baseline
+        assert any(baseline)
+        assert np.dtype(object) in {dtype for _, dtype in steps}
+
+    def test_sparse_build_allocates_less_than_one_dense_layer(self):
+        # every layer of eight cubes to 3 * 10^5 stays sparse: no Z + 1 array
+        Z = 3 * 10**5
+        count_representations(Z, 8, 3)  # the shared sieve is grown outside the trace
+        tracemalloc.start()
+        try:
+            count_representations(Z, 8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (Z + 1)
+
+
 class TestFindSolution:
     def test_deterministic_greedy(self):
         sol = find_solution(10, 2, 1)
