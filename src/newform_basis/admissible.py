@@ -12,13 +12,13 @@ a(p) = sum(plus) - sum(minus) with 2k-1 primes of S.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb
 
 from .coefficients import CoeffTable
 from .errors import InfeasibleError, MemoryGuardError, TableTooSmallError, VerificationError
-from .signs import first_negative
+from .signs import prime_sets
 
 MAX_STORED_SUMS = 10**8
 
@@ -218,18 +218,12 @@ def dyadic_construction(table: CoeffTable, k: int, l0: int) -> AdmissibleSet:
         raise TableTooSmallError(
             f"construction needs indices up to 2^{2 * k * l0 + 1}, table has {table.n_max}"
         )
-    n_f = first_negative(table).n_f
-    level = table.level
-    exp = table.weight - 1
-    ps = table.primes()
+    candidates, has_large = prime_sets(table, need)
     picks: list[int] = []
     for i in range(1, 2 * k + 1):
         lo, hi = 1 << (l0 * i), 1 << (l0 * i + 1)
-        pick = None
-        for p in ps[bisect_right(ps, lo - 1): bisect_right(ps, hi)]:
-            if p > n_f and level % p and table.a(p) ** 2 > p**exp:
-                pick = p
-                break
+        window = candidates[bisect_left(candidates, lo): bisect_right(candidates, hi)]
+        pick = next((p for p in window if has_large(p)), None)
         if pick is None:
             raise InfeasibleError(
                 f"no large-coefficient prime in [2^{l0 * i}, 2^{l0 * i + 1}]"

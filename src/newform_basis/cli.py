@@ -29,6 +29,7 @@ from .errors import IntegrityError, NewformBasisError, TableTooSmallError
 from .primes import integer_nth_root
 from .signs import first_negative, large_coeff_density, prime_sets
 from .waring_goldbach import (
+    DEFAULT_QMAX,
     count_representations,
     find_solution,
     hua_main_term,
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, default=1)
     p.add_argument("--predicate", choices=("all", "p0", "p0-minus-pprime"), default="all")
     p.add_argument("--form", default="delta", help="form for the p0 predicates")
-    p.add_argument("--qmax", type=int, default=1000)
+    p.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
     p.set_defaults(func=_cmd_wg)
 
     p = sub.add_parser("decompose", parents=[common], help="represent Z as a coefficient sum")

@@ -12,7 +12,8 @@ each other so they can cross-check:
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone by
   the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
   ``check_identities`` check: for composite n = p q with p = spf(n),
-  a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p).
+  a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p),
+  over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
 All stored coefficients are exact integers.  Every pass runs in exact
 int64: a partial product is a short list of limbs, value = sum_j limb_j
@@ -53,6 +54,7 @@ from .primes import (
     prime_array,
     primes_up_to,
     smallest_prime_factors,
+    spf_blocks,
 )
 
 BUILTIN_DELTA = "builtin-delta"
@@ -478,29 +480,22 @@ def hecke_extend(
     descriptor: NewformDescriptor, prime_coeffs: Mapping[int, int], n_max: int
 ) -> CoeffTable:
     """Full table from the prime coefficients (every prime <= n_max) by the Hecke
-    relation: each round fills every composite n whose q = n / spf(n) is known,
-    so q / p is known too; round r fills the n with r + 1 prime factors.  n_max >
-    ``MAX_TABLE`` raises MemoryGuardError before anything is allocated; a value
-    that does not fit int64 storage raises IntegrityError."""
+    relation, filled one ``spf_blocks`` block at a time: the composites of a
+    block read a(p), a(q) and a(q / p) below its start.  n_max > ``MAX_TABLE``
+    raises MemoryGuardError before anything is allocated; a value that does not
+    fit int64 storage raises IntegrityError."""
     _check_table_size(n_max)
     primes = prime_array(n_max)
     try:
         ap = [int(prime_coeffs[p]) for p in primes.tolist()]
     except KeyError as missing:
         raise IntegrityError(f"missing prime coefficient a({missing.args[0]})") from None
-    known = np.zeros(n_max + 1, dtype=bool)
-    known[1] = known[primes] = True
     vals = _storage(descriptor, n_max, np.zeros(n_max, dtype=np.int64))
-    vals[known[1:]] = _storage(descriptor, n_max, [1] + ap)
-    n = np.flatnonzero(~known)[1:]  # the composites
-    p = smallest_prime_factors(n_max)[n]
-    q = n // p
-    while len(n):
-        ready = known[q]
-        rhs = _hecke_values(descriptor, vals, p[ready], q[ready])
-        vals[n[ready] - 1] = _storage(descriptor, n_max, rhs)
-        known[n[ready]] = True
-        n, p, q = n[~ready], p[~ready], q[~ready]
+    vals[0] = 1
+    vals[primes - 1] = _storage(descriptor, n_max, ap)
+    for n, p, q in spf_blocks(smallest_prime_factors(n_max)):
+        c = q > 1  # the composites
+        vals[n[c] - 1] = _storage(descriptor, n_max, _hecke_values(descriptor, vals, p[c], q[c]))
     return CoeffTable(descriptor, n_max, vals)
 
 
@@ -665,27 +660,27 @@ def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
 def check_identities(table: CoeffTable) -> IdentityReport:
     """Scan the whole table for violations of its defining identities.
 
-    Checks the Hecke relation at every composite n <= n_max, ``_SCREEN_BLOCK``
-    rows at a time, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at
-    primes not dividing the level, and the divisor bound a(n)^2 <= d(n)^2
-    n^(2k-1) at every index.  The relation compares exact integers; the two
-    bounds are screened in float64 and every entry the screen does not clear
-    is decided in exact integers (``_size_violations``).
+    Checks the Hecke relation at every composite n <= n_max along
+    ``spf_blocks``, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at primes
+    not dividing the level, and the divisor bound a(n)^2 <= d(n)^2 n^(2k-1) at
+    every index, d from the same spf table.  The relation compares exact
+    integers; the two bounds are screened in float64 and every entry the screen
+    does not clear is decided in exact integers (``_size_violations``).
     """
     vals = table._values
     n_max, level, pk = table.n_max, table.level, table.weight - 1
-    d = divisor_counts(n_max)
-    divisor = _size_violations(np.arange(1, n_max + 1), vals, d[1:], pk)
-    # d(p) = 2, so at a prime the divisor bound is the Deligne bound
-    deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
     spf = smallest_prime_factors(n_max)
+    d = divisor_counts(spf)
     hecke, mult = [], []
-    for lo in range(2, n_max + 1, _SCREEN_BLOCK):
-        n = np.arange(lo, min(lo + _SCREEN_BLOCK, n_max + 1))
-        n = n[spf[n] < n]  # the composites
-        p, q = spf[n], n // spf[n]
+    for n, p, q in spf_blocks(spf):
+        c = q > 1  # the composites
+        n, p, q = n[c], p[c], q[c]
         expected = _hecke_values(table.descriptor, vals, p, q)
         for i in np.flatnonzero(vals[n - 1] != expected).tolist():
             entry = (int(n[i]), int(vals[n[i] - 1]), int(expected[i]))
             (mult if q[i] % p[i] else hecke).append(entry)
+    del spf  # freed before the divisor screen allocates its index column
+    divisor = _size_violations(np.arange(1, n_max + 1), vals, d[1:], pk)
+    # d(p) = 2, so at a prime the divisor bound is the Deligne bound
+    deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
     return IdentityReport(n_max, hecke, mult, deligne, divisor)

@@ -106,7 +106,12 @@ def cf_bound(table: CoeffTable) -> CfBound:
     C0 = -table.a(n_f)
     k = table.k
     s0 = hua_constants(2 * k - 1).s0
-    return CfBound(C0, k, s0, C0 * (k * s0 + 3) + k * s0 + 1)
+    return CfBound(C0, k, s0, _summand_bound(C0, k, s0, 0))
+
+
+def _summand_bound(C0: int, k: int, s: int, shifts: int) -> int:
+    """C0*(k*s + 3) + k*s + 1, plus one for each shift after the first."""
+    return C0 * (k * s + 3) + k * s + 1 + max(0, shifts - 1)
 
 
 def prime_power_expand(p: int, S: AdmissibleSet, table: CoeffTable) -> PrimePowerExpansion:
@@ -253,7 +258,8 @@ class ConstructivePipeline:
         Z = 10^6 fail, while the table to 3*10^5 decomposes Z = 148.
         """
         if Z == 0:
-            d = Decomposition(0, (), ROUTE_CONSTRUCTIVE, self._run_bound(0), self.s)
+            bound = _summand_bound(self.C0, self.k, self.s, 0)
+            d = Decomposition(0, (), ROUTE_CONSTRUCTIVE, bound, self.s)
             return _verified(d, self.table)
         shift_indices: list[int] = []
         cur = Z
@@ -293,15 +299,11 @@ class ConstructivePipeline:
             Z,
             tuple(sorted(counts.items())),
             ROUTE_CONSTRUCTIVE,
-            self._run_bound(len(shift_indices)),
+            _summand_bound(self.C0, self.k, self.s, len(shift_indices)),
             self.s,
             len(shift_indices),
         )
         return _verified(d, self.table)
-
-    def _run_bound(self, shifts: int) -> int:
-        # equals the closed-form summand bound when s = s0 and shifts <= 1
-        return (self.C0 + 1) * self.k * self.s + 3 * self.C0 + 1 + max(0, shifts - 1)
 
 
 def _multiset_sums(vals: np.ndarray, h: int) -> np.ndarray:

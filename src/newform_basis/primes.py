@@ -1,13 +1,15 @@
 """Prime sieves and small number-theoretic helpers.
 
-Everything here is exact integer arithmetic; numpy is used only for sieve
-bitmaps, smallest-prime-factor and divisor-count tables, never for values
-that could overflow int64.
+Everything here is exact integer arithmetic; numpy holds only sieve bitmaps
+and smallest-prime-factor (spf) and divisor-count tables, never values that
+could overflow int64.  ``spf_blocks`` is the one walk over an spf table that
+every whole-table multiplicative pass takes: d(n), the Hecke rebuild and scan.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +35,7 @@ def sieve_bitmap(limit: int) -> np.ndarray:
 _SIEVE = (0, np.zeros(0, dtype=np.int64))  # shared (limit, primes <= limit), swapped whole
 # largest shared sieve: a 1 GiB bitmap, then 54.4M primes as int64 (435 MB)
 MAX_SIEVE = 1 << 30
+_WALK_BLOCK = 1 << 13  # most rows of one spf_blocks block: 64 KB per int64 column
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -69,28 +72,28 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return s
 
 
-def divisor_counts(limit: int) -> np.ndarray:
-    """Array d with d[n] = number of divisors of n (d[0] = 0).
+def spf_blocks(spf: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows (n, p, q) with p = spf[n] and q = n / p for n = 2..len(spf) - 1, as
+    int64 arrays over ascending blocks [lo, hi) with hi <= 2 lo and at most
+    ``_WALK_BLOCK`` rows.  Since p >= 2, every q and q / p is below lo: a table
+    filled block by block reads only entries that are already filled."""
+    lo = 2
+    while lo < len(spf):
+        hi = min(2 * lo, lo + _WALK_BLOCK, len(spf))
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi]
+        yield n, p, n // p
+        lo = hi
 
-    d is multiplicative with d(p^e) = e + 1.  Each prime p <= sqrt(limit)
-    adds its exponent over its multiples, multiplies them by e + 1 and is
-    divided out of a running cofactor; a cofactor above 1 left at the end is
-    one prime, which doubles the count.  No loop runs per n.
-    """
-    d = np.ones(limit + 1, dtype=np.int64)
+
+def divisor_counts(spf: np.ndarray) -> np.ndarray:
+    """Array d with d[n] = number of divisors of n < len(spf) (d[0] = 0), by the
+    ``spf_blocks`` walk of d(p q) = 2 d(q) - [p | q] d(q / p): the Hecke
+    relation with a(p) = 2 and p^(2k-1) = 1."""
+    d = np.ones(len(spf), dtype=np.int64)
     d[0] = 0
-    rem = np.arange(limit + 1, dtype=np.min_scalar_type(limit))  # smallest dtype holding limit
-    for p in prime_array(isqrt(limit)).tolist():
-        e = np.ones(limit // p, dtype=np.int8)  # exponent of p in p, 2p, 3p, ...
-        rem[p::p] //= p
-        q = p
-        while q <= limit // p:
-            e[q - 1:: q] += 1  # the multiples of p * q
-            rem[p * q:: p * q] //= p
-            q *= p
-        e += 1
-        d[p::p] *= e
-    d[rem > 1] *= 2
+    for n, p, q in spf_blocks(spf):
+        d[n] = 2 * d[q] - (q % p == 0) * d[q // p]
     return d
 
 

@@ -41,6 +41,8 @@ def parameters(fn) -> list[str]:
     (decomposer._probe, ["firsts", "sums2", "Z", "width"]),
     (nb.hecke_extend, ["descriptor", "prime_coeffs", "n_max"]),
     (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
+    (primes.spf_blocks, ["spf"]),
+    (primes.divisor_counts, ["spf"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected

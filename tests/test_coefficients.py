@@ -25,7 +25,7 @@ from newform_basis import (
     load_newform,
     save_prime_table,
 )
-from newform_basis import coefficients
+from newform_basis import coefficients, primes
 from newform_basis.primes import primes_up_to
 
 
@@ -374,6 +374,28 @@ class TestHeckeExtend:
     def test_rebuild_of_the_pinned_level_11_table(self, f11a_1m):
         ap = dict(zip(f11a_1m.primes(), f11a_1m.iter_a(f11a_1m.primes())))
         assert _digest(hecke_extend(FORM_11A, ap, 10**6)._values) == _F11A_1M_DIGEST
+
+    @pytest.mark.parametrize("form", [DELTA, FORM_11A], ids=["delta", "11a"])
+    def test_rebuild_at_walk_block_edges(self, form):
+        # each block of the spf walk reads only the blocks below it
+        B = primes._WALK_BLOCK
+        for n in (1, 2, 3, 4, 7, 8, 9, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 3 * B + 1):
+            table = expand_eta_product(form, n)
+            ap = dict(zip(table.primes(), table.iter_a(table.primes())))
+            assert hecke_extend(form, ap, n)._values.tolist() == table._values.tolist()
+
+    def test_rebuild_peak_memory(self):
+        # the values, the spf table and one block of rows: no full-length pending arrays
+        n = 2 * 10**5
+        table = expand_eta_product(FORM_11A, n)
+        ap = dict(zip(table.primes(), table.iter_a(table.primes())))
+        tracemalloc.start()
+        try:
+            hecke_extend(FORM_11A, ap, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table._values.nbytes
 
     def test_values_beyond_int64_storage_rejected(self):
         # 2 * 16^6 < 2^63 selects int64 storage; a(4) = 2^80 - 2^11 does not fit it

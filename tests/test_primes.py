@@ -14,6 +14,7 @@ from newform_basis.primes import (
     primes_up_to,
     sieve_bitmap,
     smallest_prime_factors,
+    spf_blocks,
 )
 
 
@@ -89,10 +90,26 @@ def trial_division_divisor_count(n: int) -> int:
 
 
 def test_divisor_counts():
-    d = divisor_counts(10**4)
+    d = divisor_counts(smallest_prime_factors(10**4))
     assert d.tolist() == [0] + [trial_division_divisor_count(n) for n in range(1, 10**4 + 1)]
     for limit in range(0, 40):
-        assert divisor_counts(limit).tolist() == d[: limit + 1].tolist()
+        assert divisor_counts(smallest_prime_factors(limit)).tolist() == d[: limit + 1].tolist()
+
+
+def test_spf_blocks_walk_every_n_once_after_its_factors():
+    limit = 3 * primes._WALK_BLOCK + 5
+    spf = smallest_prime_factors(limit)
+    seen = []
+    for n, p, q in spf_blocks(spf):
+        lo, hi = int(n[0]), int(n[-1]) + 1
+        assert n.tolist() == list(range(lo, hi)) and hi <= 2 * lo
+        assert len(n) <= primes._WALK_BLOCK
+        assert (p == spf[n]).all() and (p * q == n).all()
+        assert (q < lo).all() and (q // p < lo).all()
+        seen += n.tolist()
+    assert seen == list(range(2, limit + 1))
+    for limit in (0, 1):
+        assert list(spf_blocks(smallest_prime_factors(limit))) == []
 
 
 @settings(max_examples=200, deadline=None)
