@@ -2,11 +2,12 @@
 
 Both builtins are eta products, so the whole q-expansion comes from sparse
 series: Jacobi's identity for each cube of eta, Euler's pentagonal series
-for what is left, one sparse-by-sparse product and exact int64 passes that
-carry into 32-bit limbs before any value could outgrow int64, so no pass
-leaves int64.  The interesting part is that the same table can be rebuilt
-from its prime entries alone by the Hecke relation, which gives a free
-cross-check of every composite index.
+for what is left, and one sparse-by-sparse product.  The level-11 form then
+takes two exact int64 passes; the weight-12 form squares eta^6 twice by FFT
+products of balanced digits, each checked to round to an exact integer.
+The interesting part is that the same table can be rebuilt from its prime
+entries alone by the Hecke relation, which gives a free cross-check of every
+composite index.
 """
 
 from newform_basis import (

@@ -5,25 +5,28 @@ each other so they can cross-check:
 
 * ``expand_eta_product`` multiplies out the eta-product q-expansion of a
   builtin form with truncated sparse series: each eta power splits into
-  Jacobi cubes and pentagonal-number series, the two longest multiply sparse
-  by sparse, and the rest run as shifted-add passes, one block of
-  ``_PASS_BLOCK`` output rows at a time so that the block being written
-  stays in a per-core L2 cache while the input streams past.
+  Jacobi cubes and pentagonal-number series and the two longest multiply
+  sparse by sparse.  For the level-11 form the rest run as shifted-add
+  passes, one block of ``_PASS_BLOCK`` output rows at a time so that the
+  block being written stays in a per-core L2 cache while the input streams
+  past.  Delta is that product eta^6 = (eta^3)^2 squared twice by ``_square``:
+  eta^12, then eta^24.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone by
   the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
   ``check_identities`` check: for composite n = p q with p = spf(n),
   a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p),
   over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
-All stored coefficients are exact integers.  Every pass runs in exact
-int64: a partial product is a short list of limbs, value = sum_j limb_j
-2^(32 j), and a limb is carried into the next before a pass whenever its
-largest entry times the factor's weight sum would reach 2^63.  The level-11
-form and small weight-12 tables never need a second limb; more than one limb
-combines into exact Python ints at the end.  No floating point produces a
-value.  The size checks (``check_identities`` and the loader's Deligne
-check) compare in float64 only as a screen: every entry the screen does not
-clear is decided in exact integers.
+All stored coefficients are exact integers.  The sparse product and every
+pass run in exact int64.  ``_square`` takes and returns a series as integer
+limbs, value = sum_j limb_j 2^(32 j), and squares it by real FFT products of
+balanced digit series, of a width that a stated float64 error bound keeps
+every rounding error below 1/4 for, checked again on every product; the
+rounded products carry into int64 words, and more than one output limb
+combines into exact Python ints at the end.  The size checks
+(``check_identities`` and the loader's Deligne check) compare in float64
+only as a screen: every entry the screen does not clear is decided in exact
+integers.
 
 Every table stores its values in one ndarray whose dtype the descriptor
 decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
@@ -35,7 +38,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -60,20 +63,20 @@ from .primes import (
 BUILTIN_DELTA = "builtin-delta"
 BUILTIN_11A = "builtin-11a"
 
-# (scale, power) pairs: the form is q * prod_{n>=1} (1 - q^(scale*n))^power.
-_ETA_FACTORS: dict[str, tuple[tuple[int, int], ...]] = {
-    BUILTIN_DELTA: ((1, 24),),
-    BUILTIN_11A: ((1, 2), (11, 2)),
+# ((scale, power) pairs, s): the form is q * (prod_{n>=1} (1 - q^(scale*n))^power)^(2^s).
+_ETA_FACTORS: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
+    BUILTIN_DELTA: (((1, 6),), 2),  # eta^24 = ((eta^6)^2)^2
+    BUILTIN_11A: (((1, 2), (11, 2)), 0),
 }
 
 MAX_TABLE = 1 << 27  # longest coefficient table: one 1 GiB int64 array
 
 _INT64 = 1 << 63
-# Eta passes run on limbs of this width: a carried limb holds [0, 2^32), so a
-# pass by a series with sum|w| < 2^31 stays below 2^63.  A table up to
-# MAX_TABLE has sum|w| <= about 2 n <= 2^28 for every series.
+# A squared series is held as integer limbs, value = sum_j limb_j 2^(32 j);
+# ``_square`` returns them normalized: every limb below the top a uint32, the
+# top one int64.
 _LIMB_BITS = 32
-_HEADROOM = _INT64  # a limb is carried before a pass once max|x| * sum|w| reaches it
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Output rows of one shifted-add pass block: 2^16 int64 rows are 512 KB, so a
 # block stays in a 2 MB per-core L2 while its terms add into it.
 _PASS_BLOCK = 1 << 16
@@ -318,14 +321,14 @@ def _sparse_product(first, second, n: int) -> np.ndarray:
 def _shift_pass(cur, out, series, scratch) -> None:
     """out = cur times the sparse series, truncated to len(cur), in int64.
 
-    Exact when max|cur| * sum|w| < 2^63, which ``_carry`` ensures for every
-    limb.  The pass fills ``_PASS_BLOCK`` output rows at a time, adding the
-    terms into a block up to the first exponent past its end, so the series'
-    exponents must ascend.  The 512 KB block stays in a per-core L2 cache
-    across all its terms while ``cur`` streams past; a whole-array add per
-    term would refetch the output from L3 every time.  A weight other than
-    +-1 multiplies into ``scratch``, which needs min(len(cur), _PASS_BLOCK)
-    rows.
+    Exact when max|cur| * sum|w| < 2^63, which ``_eta_values`` checks before
+    the first pass.  The pass fills ``_PASS_BLOCK`` output rows at a time,
+    adding the terms into a block up to the first exponent past its end, so
+    the series' exponents must ascend.  The 512 KB block stays in a per-core
+    L2 cache across all its terms while ``cur`` streams past; a whole-array
+    add per term would refetch the output from L3 every time.  A weight other
+    than +-1 multiplies into ``scratch``, which needs min(len(cur),
+    _PASS_BLOCK) rows.
     """
     n = len(cur)
     exps, weights = series[0].tolist(), series[1].tolist()
@@ -351,63 +354,170 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _carry(limbs: list[np.ndarray], total: int) -> None:
-    """Carry limbs in place, value unchanged, until each has max|x| * total < _HEADROOM.
+def _transform(m: int) -> tuple[int, int]:
+    """The shortest FFT length L = 2^a 3^b 5^c >= m, and k = a + 2 b + 3 c: the
+    radix-2 levels of the length 2^k >= L that pads each radix-3 or radix-5
+    pass to a radix-4 or radix-8 one."""
+    sizes = []
+    for c in range(m.bit_length()):
+        for b in range(m.bit_length()):
+            base = 3**b * 5**c
+            a = (-(-m // base) - 1).bit_length()
+            sizes.append((base << a, a + 2 * b + 3 * c))
+    return min(sizes)
 
-    The value is sum_j limbs[j] 2^(_LIMB_BITS j).  From the bottom up, a limb
-    short of headroom, or below the top and reached by a carry, keeps its
-    residue in [0, 2^_LIMB_BITS) and passes the rest up; it is reduced before
-    the incoming carry is added and again after, so no int64 wraps.  The top
-    limb absorbs a carry it has room for, or a new top limb takes it.
+
+def _digit_bits(n: int) -> int:
+    """Width W of the balanced digits |d| <= 2^(W-1) that ``_square`` splits a
+    series of n terms into: the largest W with n 4^(W-1) (13 k + 3) < 2^51,
+    k from ``_transform(2 n - 1)``.
+
+    Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the error of the FFT
+    product of x and y of length 2^k by ||x|| ||y|| ((1 + e)^(3k)
+    (1 + sqrt(5) e)^(3k+1) (1 + b)^(3k) - 1) < ||x|| ||y|| e (13 k + 3), with
+    e = 2^-53 and twiddle factors correct to b <= e.  Two digit series have
+    ||x|| ||y|| <= n 4^(W-1), so every rounding error stays below 1/4 and
+    every exact value below 2^51.
     """
-    mask = (1 << _LIMB_BITS) - 1
-    up = None  # carry into x
-    for x in limbs:  # a limb appended in the loop is visited too
-        top = x is limbs[-1]
-        if up is not None and top and _peak(x) * total < _HEADROOM:
-            x += up  # |x| < 2^62 and |up| <= 2^31 + 1
-            up = None
-        if up is not None or _peak(x) * total >= _HEADROOM:
-            if top:
-                limbs.append(np.zeros_like(x))
-            hi = x >> _LIMB_BITS
-            x &= mask
-            if up is not None:
-                x += up
-                hi += x >> _LIMB_BITS
-                x &= mask
-            up = hi
+    _, k = _transform(2 * n - 1)
+    w = 1
+    while n * 4**w * (13 * k + 3) < 1 << 51:
+        w += 1
+    return w
+
+
+def _digits(limbs: list[np.ndarray], w: int) -> list[np.ndarray]:
+    """Balanced w-bit digits d_i in [-2^(w-1), 2^(w-1)), value = sum_i d_i
+    2^(w i), top zero digits dropped, from integer limbs of any size, which are
+    popped from ``limbs`` as they are read.  Each limb adds its low 32 bits and
+    carries its high part into the next, so for w <= 29 the accumulator stays
+    below 2^(w + 34) < 2^63.  A digit is stored in the smallest integer dtype
+    that holds it."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    acc, high, have, digits = np.zeros(len(limbs[0]), dtype=np.int64), 0, 0, []
+
+    def emit():
+        d = ((acc + half) & mask) - half
+        np.right_shift(acc - d, w, out=acc)
+        digits.append(d.astype(np.min_scalar_type(-half)))
+
+    while limbs:
+        limb = limbs.pop(0).astype(np.int64, copy=False)
+        acc += ((limb & _LIMB_MASK) + high) << have
+        high = limb >> _LIMB_BITS
+        have += _LIMB_BITS
+        for _ in range(have // w):
+            emit()
+        have %= w
+    acc += high << have
+    while acc.any():
+        emit()
+    while digits and not digits[-1].any():
+        digits.pop()
+    return digits
+
+
+def _square(limbs: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """The exact square, truncated to n terms, of the series sum_j limbs[j]
+    2^(32 j) given as integer limbs of any size, which it empties; as
+    normalized limbs, uint32 below the top and the int64 top in [-2^32, 2^32).
+
+    The input splits into balanced ``_digit_bits(n)``-bit digit series d_i.
+    Digit group s, sum_{i+j=s} d_i d_j, takes one real FFT product per pair
+    i <= j, its i ascending in even groups and descending in odd ones, so that
+    each pair shares a digit with the next and that digit's spectrum is kept
+    for it: at most three spectrum-sized arrays are alive at a time.  A
+    product more than 1/4 off an integer raises VerificationError; otherwise
+    it rounds into one carried int64 array, and once group s is in, the
+    carry's low W bits join the next 32-bit output limb.  A rounded product is
+    below 2^51, so the carry stays far below 2^63.
+    """
+    w = _digit_bits(n)
+    size, _ = _transform(2 * n - 1)
+    digits = _digits(limbs, w)
+    d = len(digits)
+    pairs = [(i, s - i) for s in range(2 * d - 1)
+             for i in range(max(0, s - d + 1), s // 2 + 1)[::1 - 2 * (s % 2)]]
+    kept = kept_spectrum = None  # the digit shared with the next pair, and its spectrum
+    carry, next_limb, have, out, s, k = np.zeros(n, dtype=np.int64), 0, 0, [], 0, 0
+    while s < 2 * d - 1 or ((carry != 0) & (carry != -1)).any():
+        while k < len(pairs) and sum(pairs[k]) == s:
+            i, j = pairs[k]
+            k += 1
+            a = kept_spectrum if kept == i else np.fft.rfft(digits[i], size)
+            b = a if j == i else kept_spectrum if kept == j else np.fft.rfft(digits[j], size)
+            kept = min({i, j}.intersection(pairs[k] if k < len(pairs) else ()), default=None)
+            if kept is None:
+                f, kept_spectrum = a, None
+                f *= b
+            elif i == j:
+                f, kept_spectrum = a * a, a
+            else:  # the product overwrites the spectrum the next pair does not need
+                f, kept_spectrum = (b, a) if kept == i else (a, b)
+                f *= kept_spectrum
+            del a, b
+            x = np.fft.irfft(f, size)[:n]
+            del f
+            r = np.rint(x)
+            x -= r
+            if np.abs(x, out=x).max() >= 0.25:
+                raise VerificationError(f"FFT product of digits {i} and {j} is off an integer")
+            del x
+            if i != j:
+                r *= 2  # d_i d_j + d_j d_i
+            carry += r.astype(np.int64)
+            del r
+        next_limb += (carry & ((1 << w) - 1)) << have
+        carry >>= w
+        have += w
+        s += 1
+        if have >= _LIMB_BITS:
+            out.append((next_limb & _LIMB_MASK).astype(np.uint32))
+            next_limb >>= _LIMB_BITS
+            have -= _LIMB_BITS
+    out.append(next_limb + (carry << have))  # carry is 0 or -1
+    while len(out) > 1 and ((out[-1] == 0) | (out[-1] == -1)).all():
+        top = out.pop()
+        out[-1] = out[-1] + (top << _LIMB_BITS)
+    return out
 
 
 def _eta_values(factors, n_max: int) -> np.ndarray:
-    """Coefficients 1..n_max of q * prod (1 - q^(scale*n))^power, exactly.
+    """Coefficients 1..n_max of q * (prod (1 - q^(scale*n))^power)^(2^s) for
+    factors = ((scale, power) pairs, s), exactly.
 
     The two longest sparse series multiply in int64; each of the others runs
-    as one shifted-add pass per limb after ``_carry``, and the limbs combine
-    into exact Python ints when there is more than one.  A pass writes
-    ``_PASS_BLOCK`` rows at a time, a block that stays in L2 while every
-    term adds into it, so ``scratch`` holds one block.
+    as one shifted-add pass, exact in int64 by the bound max|x| * sum|w|
+    checked before the first, ``_PASS_BLOCK`` rows at a time, a block that
+    stays in L2 while every term adds into it, so ``scratch`` holds one block.
+    ``_square`` then squares the product s times on 32-bit limbs, which
+    combine into exact Python ints when there is more than one.
     """
-    first, second, *rest = _sparse_series(factors, n_max - 1)
-    totals = [int(np.abs(w).sum()) for _, w in rest]
-    if max(totals, default=0) << _LIMB_BITS >= _INT64:
-        raise ValueError(f"n_max = {n_max} too large for exact int64 passes on limbs")
-    limbs = [_sparse_product(first, second, n_max)]
-    spare = np.empty_like(limbs[0])
+    pairs, squarings = factors
+    first, second, *rest = _sparse_series(pairs, n_max - 1)
+    value = _sparse_product(first, second, n_max)
+    if _peak(value) * prod(int(np.abs(w).sum()) for _, w in rest) >= _INT64:
+        raise ValueError(f"n_max = {n_max} too large for exact int64 passes")
+    spare = np.empty_like(value)
     weighted = any(int(np.abs(w).max()) > 1 for _, w in rest)
     scratch = np.empty(min(n_max, _PASS_BLOCK), dtype=np.int64) if weighted else None
-    for series, total in zip(rest, totals):
-        _carry(limbs, total)
-        for j, limb in enumerate(limbs):
-            _shift_pass(limb, spare, series, scratch)
-            limbs[j], spare = spare, limb
-    del spare, scratch  # release the int64 working arrays before the object combine
+    for series in rest:
+        _shift_pass(value, spare, series, scratch)
+        value, spare = spare, value
+    limbs = [value]
+    del value, spare, scratch  # _square frees each limb as it reads it
+    for _ in range(squarings):
+        limbs = _square(limbs, n_max)
     value = limbs.pop()
     if limbs:
         value = value.astype(object)
-        for limb in reversed(limbs):
-            value <<= _LIMB_BITS
-            value += limb
+        while limbs:  # two uint32 limbs at a time, as one uint64 word
+            word, bits = limbs.pop().astype(np.uint64), _LIMB_BITS
+            if limbs:
+                word = word << _LIMB_BITS | limbs.pop()
+                bits *= 2
+            value <<= bits
+            value += word
     return value
 
 
@@ -424,13 +534,13 @@ def _check_table_size(n_max: int) -> None:
 def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     """Coefficient table of a builtin form by direct eta-product expansion.
 
-    Each eta power splits into Jacobi cubes and pentagonal series.  The two
-    longest multiply sparse by sparse; the rest run as shifted-add passes,
-    exact in int64 on 32-bit limbs that carry before a pass whenever
-    max|limb| * sum|w| would reach 2^63.  The level-11 form never needs a
-    second limb.  Each pass fills its output 2^16 rows (512 KB) at a time,
-    a block that stays in a per-core L2 cache while all the series' terms
-    add into it.
+    Each eta power splits into Jacobi cubes and pentagonal series, and the two
+    longest multiply sparse by sparse.  The level-11 form runs the other two
+    as shifted-add passes, exact in int64, each filling its output 2^16 rows
+    (512 KB) at a time, a block that stays in a per-core L2 cache while all
+    the series' terms add into it.  Delta squares eta^6 twice by ``_square``,
+    exact FFT products of digit series that a stated error bound sizes and a
+    guard on every product checks (VerificationError).
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError

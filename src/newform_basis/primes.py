@@ -63,8 +63,10 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
-    """Array s with s[n] = smallest prime factor of n (s[0] = s[1] = 0)."""
-    s = np.zeros(limit + 1, dtype=np.int64)
+    """Array s with s[n] = smallest prime factor of n (s[0] = s[1] = 0), in
+    int32: s[n] <= n, so it holds every entry for limit < 2^31 at half the
+    bytes of int64."""
+    s = np.zeros(limit + 1, dtype=np.int32)
     for p in prime_array(isqrt(limit))[::-1].tolist():
         s[p * p:: p] = p  # descending, so the smallest prime writes last
     unmarked = np.flatnonzero(s[2:] == 0) + 2
@@ -81,16 +83,16 @@ def spf_blocks(spf: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     while lo < len(spf):
         hi = min(2 * lo, lo + _WALK_BLOCK, len(spf))
         n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi]
+        p = spf[lo:hi].astype(np.int64)  # so that p**e and n // p stay int64
         yield n, p, n // p
         lo = hi
 
 
 def divisor_counts(spf: np.ndarray) -> np.ndarray:
-    """Array d with d[n] = number of divisors of n < len(spf) (d[0] = 0), by the
-    ``spf_blocks`` walk of d(p q) = 2 d(q) - [p | q] d(q / p): the Hecke
-    relation with a(p) = 2 and p^(2k-1) = 1."""
-    d = np.ones(len(spf), dtype=np.int64)
+    """Array d with d[n] = number of divisors of n < len(spf) (d[0] = 0), in
+    int32 like spf, by the ``spf_blocks`` walk of d(p q) = 2 d(q) - [p | q]
+    d(q / p): the Hecke relation with a(p) = 2 and p^(2k-1) = 1."""
+    d = np.ones(len(spf), dtype=np.int32)
     d[0] = 0
     for n, p, q in spf_blocks(spf):
         d[n] = 2 * d[q] - (q % p == 0) * d[q // p]

@@ -43,6 +43,7 @@ def parameters(fn) -> list[str]:
     (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
     (primes.spf_blocks, ["spf"]),
     (primes.divisor_counts, ["spf"]),
+    (coefficients._square, ["limbs", "n"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -55,8 +56,10 @@ def test_one_shot_decompose_wrappers_are_gone():
 
 
 def test_residue_tier_is_gone():
-    # the eta passes carry into int64 limbs; no modulus, CRT lift or prime search is left
-    for name in ("_moduli_for", "_crt_values", "_MODULUS_POOL", "_exact_headroom"):
+    # no modulus, CRT lift or prime search is left, and no limb carry before a
+    # pass: delta squares by FFT products, the level-11 passes fit one int64 limb
+    for name in ("_moduli_for", "_crt_values", "_MODULUS_POOL", "_exact_headroom",
+                 "_carry", "_HEADROOM"):
         assert not hasattr(coefficients, name)
     assert not hasattr(primes, "next_prime_below")
     assert not hasattr(nb, "next_prime_below") and "next_prime_below" not in nb.__all__

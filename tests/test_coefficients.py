@@ -149,6 +149,30 @@ def _digest(values):
     return hashlib.sha256(values.astype("<i8").tobytes()).hexdigest()
 
 
+def _naive_square(limbs, n):
+    """The square of the series sum_j limbs[j] 2^(32 j), truncated to n terms,
+    by nested loops over exact Python ints."""
+    value = _recombine(limbs).tolist()
+    out = [0] * n
+    for i, a in enumerate(value):
+        for j in range(n - i):
+            out[i + j] += a * value[j]
+    return out
+
+
+def _assert_normalized(limbs):
+    assert all(limb.dtype == np.uint32 for limb in limbs[:-1])
+    assert limbs[-1].dtype == np.int64
+    assert limbs[-1].min() >= -(1 << 32) and limbs[-1].max() < 1 << 32
+
+
+@st.composite
+def _limb_series(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    limb = st.lists(st.integers(-_INT64_MAX, _INT64_MAX), min_size=n, max_size=n)
+    return [np.array(draw(limb), dtype=np.int64) for _ in range(draw(st.integers(1, 3)))]
+
+
 class TestSeriesKernel:
     @pytest.mark.parametrize("scale", [1, 11])
     def test_jacobi_cube_matches_naive(self, scale):
@@ -173,53 +197,12 @@ class TestSeriesKernel:
                     expected[g1 + g2] += int(w1) * int(w2)
         assert coefficients._sparse_product(first, second, n).tolist() == expected
 
-    @pytest.mark.parametrize("name,descriptor,limb_bits,headroom", [
-        ("delta", DELTA, 32, 1 << 20),
-        ("delta", DELTA, 4, 1 << 14),
-        ("11a", FORM_11A, 32, 1 << 5),
-        ("11a", FORM_11A, 1, 1 << 4),
-    ])
-    def test_forced_carry_matches_naive(self, monkeypatch, name, descriptor, limb_bits, headroom):
-        # a low headroom carries limbs from the first pass on; narrow limbs make
-        # the top limb split more than once in one carry
-        monkeypatch.setattr(coefficients, "_LIMB_BITS", limb_bits)
-        monkeypatch.setattr(coefficients, "_HEADROOM", headroom)
-        growth = []
-        carry = coefficients._carry
-
-        def spy(limbs, total):
-            before = len(limbs)
-            carry(limbs, total)
-            growth.append(len(limbs) - before)
-
-        monkeypatch.setattr(coefficients, "_carry", spy)
-        for n in (1, 2, 37, 300):
-            table = expand_eta_product(descriptor, n)
-            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
-            assert all(type(v) is int for v in table._values.tolist())
-        if limb_bits == 32:
-            assert max(growth) == 1  # one split of the top limb per carry
-        else:
-            assert max(growth) >= 2  # the top limb splits more than once in one carry
-
     @pytest.mark.parametrize("block", [1, 2, 7])
-    @pytest.mark.parametrize("name,descriptor,headroom", [
-        ("delta", DELTA, None),
-        ("delta", DELTA, 1 << 20),
-        ("11a", FORM_11A, None),
-        ("11a", FORM_11A, 1 << 5),
-    ])
-    def test_blocked_passes_match_naive(self, monkeypatch, block, name, descriptor, headroom):
-        # tiny blocks split every pass into many; a low headroom runs them on several limbs
+    def test_blocked_passes_match_naive(self, monkeypatch, block):
+        # tiny blocks split every level-11 pass into many
         monkeypatch.setattr(coefficients, "_PASS_BLOCK", block)
-        if headroom is not None:
-            monkeypatch.setattr(coefficients, "_HEADROOM", headroom)
-        limbs, at_start, past_end = [], False, False
-        carry, shift_pass = coefficients._carry, coefficients._shift_pass
-
-        def carry_spy(parts, total):
-            carry(parts, total)
-            limbs.append(len(parts))
+        at_start, past_end = False, False
+        shift_pass = coefficients._shift_pass
 
         def pass_spy(cur, out, series, scratch):
             nonlocal at_start, past_end
@@ -229,13 +212,11 @@ class TestSeriesKernel:
                 past_end |= block <= g < n  # the term lies wholly past the first block
             shift_pass(cur, out, series, scratch)
 
-        monkeypatch.setattr(coefficients, "_carry", carry_spy)
         monkeypatch.setattr(coefficients, "_shift_pass", pass_spy)
         for n in (1, 2, 37, 300):
-            table = expand_eta_product(descriptor, n)
-            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
+            table = expand_eta_product(FORM_11A, n)
+            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS["11a"], n)
         assert at_start and past_end
-        assert (max(limbs) > 1) == (headroom is not None)
 
     def test_weighted_pass_with_one_block_of_scratch(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_PASS_BLOCK", 16)
@@ -252,78 +233,142 @@ class TestSeriesKernel:
             expected[g:] += w * cur[: n - g].astype(object)
         assert out.tolist() == expected.tolist()
 
-    # limbs from the bottom up: "big" ones hold entries at and past the carry
-    # edge and the int64 extremes, "inside" ones stop one short of the edge
-    @pytest.mark.parametrize("kinds", [
-        "big", "inside", "big inside", "inside big", "big inside inside",
-        "big big inside big", "inside inside big big", "inside inside inside",
-    ])
-    def test_carry_keeps_value_and_makes_room(self, kinds):
-        kinds = kinds.split()
-        rng = np.random.default_rng(len(kinds))
-        n, bits = 400, coefficients._LIMB_BITS
-        exps = np.sort(rng.choice(n, size=60, replace=False))
-        weights = rng.integers(1, 3000, size=60) * rng.choice([-1, 1], size=60)
-        total = int(np.abs(weights).sum())
-        edge = -(-coefficients._INT64 // total)  # the smallest |x| with |x| * total >= 2^63
-        limbs = []
-        for kind in kinds:
-            limb = rng.integers(1 - edge, edge, size=n)
-            limb[:4] = [edge - 1, 1 - edge, 0, -1]  # same slots in every limb
-            if kind == "big":
-                limb[4:10] = [edge, -edge, _INT64_MAX, -_INT64_MAX, _INT64_MAX, -_INT64_MAX]
-                limb[10:] = rng.integers(-_INT64_MAX, _INT64_MAX, size=n - 10)
-            limbs.append(limb)
-        before = [limb.copy() for limb in limbs]
-        value = _recombine(limbs)
-        coefficients._carry(limbs, total)
-        assert _recombine(limbs).tolist() == value.tolist()
-        for limb in limbs:
-            assert max(int(limb.max()), -int(limb.min())) * total < coefficients._HEADROOM
-        for limb, old in zip(limbs[:-1], before):
-            assert np.array_equal(limb, old) or (limb.min() >= 0 and limb.max() < 1 << bits)
-        if "big" not in kinds:
-            assert all(np.array_equal(limb, old) for limb, old in zip(limbs, before))
-            assert len(limbs) == len(before)
-        # one exact pass per limb now gives the exact product of the whole value
-        spare, scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        product = []
-        for limb in limbs:
-            coefficients._shift_pass(limb, spare, (exps, weights), scratch)
-            product.append(spare.copy())
-        expected = np.zeros(n, dtype=object)
-        for g, w in zip(exps.tolist(), weights.tolist()):
-            expected[g:] += w * value[: n - g]
-        assert _recombine(product).tolist() == expected.tolist()
-
-    @pytest.mark.parametrize("name,descriptor", [("delta", DELTA), ("11a", FORM_11A)])
-    def test_limb_guard_raises_before_any_pass(self, monkeypatch, name, descriptor):
-        # the widest series of a table to 100 has sum|w| < 2^bits: limbs of 63 - bits
-        # bits keep sum|w| * 2^limb_bits below 2^63, one bit more reaches it
-        rest = coefficients._sparse_series(coefficients._ETA_FACTORS[descriptor.source], 99)[2:]
-        bits = max(int(np.abs(w).sum()) for _, w in rest).bit_length()
-        monkeypatch.setattr(coefficients, "_LIMB_BITS", 63 - bits)
-        oracle = naive_eta_coefficients(ETA_FACTOR_SPECS[name], 100)
-        assert expand_eta_product(descriptor, 100)._values.tolist() == oracle
-        monkeypatch.setattr(coefficients, "_LIMB_BITS", 64 - bits)
-        calls = []
-        monkeypatch.setattr(coefficients, "_sparse_product", lambda *a: calls.append(a))
-        monkeypatch.setattr(coefficients, "_shift_pass", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="too large for exact int64 passes on limbs"):
-            expand_eta_product(descriptor, 100)
-        assert calls == []
-
     def test_int64_guards(self):
         wide = (np.array([0]), np.array([2**32]))
         with pytest.raises(ValueError, match="too large for an exact int64 sparse product"):
             coefficients._sparse_product(wide, wide, 4)
 
-    def test_tables_pinned_by_digest(self, delta_100k, f11a_1m):
+    def test_pass_guard_raises_before_any_pass(self, monkeypatch):
+        # max|x| * sum|w| over the two level-11 passes would reach 2^63
+        calls = []
+        monkeypatch.setattr(coefficients, "_sparse_product", lambda f, s, n: np.full(n, 1 << 60))
+        monkeypatch.setattr(coefficients, "_shift_pass", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="too large for exact int64 passes"):
+            expand_eta_product(FORM_11A, 100)
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_limb_series())
+    def test_square_matches_nested_loops(self, limbs):
+        n = len(limbs[0])
+        expected = _naive_square(limbs, n)
+        given_limbs = list(limbs)
+        out = coefficients._square(given_limbs, n)
+        assert given_limbs == []  # each input limb is freed once its digits are taken
+        assert _recombine(out).tolist() == expected
+        _assert_normalized(out)
+
+    def test_square_keeps_the_spectrum_the_next_pair_shares(self, monkeypatch):
+        # the 10 pairs of 4 digits, i ascending in even digit groups and
+        # descending in odd ones, each share a digit with the next: 10 forward
+        # transforms where every pair computing its own would take 16
+        calls = {"rfft": 0, "irfft": 0}
+        for name, transform in [(name, getattr(np.fft, name)) for name in calls]:
+            def counted(*args, name=name, transform=transform):
+                calls[name] += 1
+                return transform(*args)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        n = 300
+        w = coefficients._digit_bits(n)
+        limbs = [np.arange(n) % 5, np.full(n, 1 << (3 * w - 32))]  # 4 digits
+        expected = _naive_square(limbs, n)
+        assert _recombine(coefficients._square(limbs, n)).tolist() == expected
+        assert calls == {"rfft": 10, "irfft": 10}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_square_of_the_shortest_series(self, n):
+        limbs = [np.array([-_INT64_MAX, _INT64_MAX, 3][:n]), np.array([7, -1, -(1 << 40)][:n])]
+        expected = _naive_square(limbs, n)
+        out = coefficients._square(limbs, n)
+        assert _recombine(out).tolist() == expected
+        _assert_normalized(out)
+
+    def test_square_of_the_zero_series(self):
+        out = coefficients._square([np.zeros(50, dtype=np.int64)] * 2, 50)
+        assert len(out) == 1 and out[0].tolist() == [0] * 50
+
+    def test_square_guard_raises_past_float64(self, monkeypatch):
+        # one bit wider than the widest W whose exact digit products n 4^(W-1)
+        # still fit float64's 53 bits; the width the error bound picks is far
+        # narrower, and at one bit past it the rounding errors stay near 10^-3
+        n = 300
+        w = max(w for w in range(1, 30) if n * 4 ** (w - 1) < 1 << 53) + 1
+        assert w > coefficients._digit_bits(n)
+        monkeypatch.setattr(coefficients, "_digit_bits", lambda m: w)
+        rng = np.random.default_rng(3)
+        limbs = [rng.integers(-(1 << 62), 1 << 62, size=n) for _ in range(2)]
+        with pytest.raises(VerificationError, match="is off an integer"):
+            coefficients._square(limbs, n)
+
+    @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
+    def test_square_guard_at_a_quarter(self, monkeypatch, shift, raises):
+        # one entry of every FFT product pushed off its integer: below 1/4 it
+        # still rounds to the exact square, from 1/4 on the guard refuses it
+        irfft = np.fft.irfft
+
+        def perturbed(*args):
+            x = irfft(*args)
+            x[1] += shift
+            return x
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        limbs = [np.arange(-20, 20, dtype=np.int64) * 123457]
+        expected = _naive_square(limbs, 40)
+        if raises:
+            with pytest.raises(VerificationError, match="is off an integer"):
+                coefficients._square(limbs, 40)
+        else:
+            assert _recombine(coefficients._square(limbs, 40)).tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(_limb_series(), st.integers(min_value=2, max_value=29))
+    def test_digits_are_balanced_and_minimal(self, limbs, w):
+        value = _recombine(limbs).tolist()
+        digits = coefficients._digits(list(limbs), w)
+        total = [0] * len(value)
+        for i, d in enumerate(digits):
+            assert -(1 << (w - 1)) <= d.min() and d.max() < 1 << (w - 1)
+            total = [t + (int(x) << (w * i)) for t, x in zip(total, d.tolist())]
+        assert total == value
+        assert not digits or digits[-1].any()
+
+    def test_transform_is_the_shortest_smooth_length(self):
+        smooth = {2**a * 3**b * 5**c: a + 2 * b + 3 * c
+                  for a in range(13) for b in range(8) for c in range(6)}
+        for m in range(1, 3000):
+            size, k = coefficients._transform(m)
+            assert size == min(L for L in smooth if L >= m) and k == smooth[size]
+
+    def test_digit_width_keeps_the_error_bound(self):
+        # n 4^(W-1) (13 k + 3) < 2^51 at W, and not at W + 1
+        for n in (1, 2, 3, 300, 70_000, 10**6, coefficients.MAX_TABLE):
+            w = coefficients._digit_bits(n)
+            size, k = coefficients._transform(2 * n - 1)
+            assert size >= 2 * n - 1
+            assert n * 4 ** (w - 1) * (13 * k + 3) < 1 << 51 <= n * 4**w * (13 * k + 3)
+
+    def test_tables_pinned_by_digest(self, delta_100k, delta_1m, f11a_1m):
         # recorded from an independent build: one pentagonal pass per unit of power and modulus
         assert _digest(delta_100k._values) == (
             "eb660e7a4275e4b585754de8e3ce645f89b5844062d0490937b76e788276a318"
         )
+        # recorded from the shifted-add limb passes that the FFT squarings replaced
+        assert _digest(delta_1m._values) == (
+            "bae012f6396909a9df7fcf2e7bd2c4bf854012f9c8c2efe4790df5716d04e548"
+        )
         assert _digest(f11a_1m._values) == _F11A_1M_DIGEST
+
+    def test_delta_peak_memory(self):
+        # the shifted-add limb passes this build replaced peaked at 4.73 MiB here;
+        # the squarings keep two spectra alive at a time
+        tracemalloc.start()
+        try:
+            expand_eta_product(DELTA, 70_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 4.73 * 2**20
 
     def test_peak_memory_is_two_arrays(self):
         n = 2 * 10**5

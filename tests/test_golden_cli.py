@@ -26,8 +26,9 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 INVOCATIONS = [
     # coeffs: int64 storage (delta 100 and 300, 11a) and exact-integer storage
-    # (delta 1400), all expanded on one int64 limb (delta first carries into a
-    # second limb between 1400 and 1500), then the file and cache routes
+    # (delta 1400); delta is eta^6 squared twice by FFT products at every size,
+    # its square leaving in two 32-bit limbs at 100, 300 and 1400, and 11a runs
+    # one int64 limb of passes; then the file and cache routes
     ["coeffs", "--form", "delta", "--nmax", "100", "--check"],
     ["coeffs", "--form", "delta", "--nmax", "300", "--check", "--json"],
     ["coeffs", "--form", "11a", "--nmax", "2000", "--check"],

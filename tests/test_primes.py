@@ -112,6 +112,15 @@ def test_spf_blocks_walk_every_n_once_after_its_factors():
         assert list(spf_blocks(smallest_prime_factors(limit))) == []
 
 
+def test_spf_in_int32_walk_rows_in_int64():
+    # half the bytes per index; the rows widen, so p**(2k - 1) in the Hecke
+    # relation and n // p cannot wrap in int32
+    spf = smallest_prime_factors(3 * primes._WALK_BLOCK)
+    assert spf.dtype == np.int32 and divisor_counts(spf).dtype == np.int32
+    for rows in spf_blocks(spf):
+        assert [x.dtype for x in rows] == [np.int64] * 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**18), st.integers(min_value=1, max_value=11))
 def test_integer_nth_root_exact(x, n):
