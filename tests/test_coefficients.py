@@ -173,6 +173,38 @@ def _limb_series(draw):
     return [np.array(draw(limb), dtype=np.int64) for _ in range(draw(st.integers(1, 3)))]
 
 
+def _balanced_limbs(values, base):
+    """Limbs l_j with entries in [-base/2, base/2) and values = sum_j l_j base^j."""
+    limbs = []
+    while any(values) or not limbs:
+        digits = [(v + base // 2) % base - base // 2 for v in values]
+        limbs.append(digits)
+        values = [(v - d) // base for v, d in zip(values, digits)]
+    return limbs
+
+
+def _pass_route(factors, n, headroom, limbs):
+    """Coefficients 1..n of q * prod (1 - q^(scale m))^power: the two longest
+    sparse series multiplied sparse, each other one a shifted-add pass.  With a
+    headroom, a pass runs on balanced power-of-two limbs of its input, the
+    widest with max|limb| * sum|w| < headroom; ``limbs`` gets the limb count of
+    every pass."""
+    first, second, *rest = coefficients._sparse_series(factors, n - 1)
+    value = coefficients._sparse_product(first, second, n).tolist()
+    out, scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for series in rest:
+        base, total = 2, int(np.abs(series[1]).sum())
+        while headroom is not None and base * total < headroom:
+            base *= 2
+        parts = [value] if headroom is None else _balanced_limbs(value, base)
+        limbs.append(len(parts))
+        value = [0] * n
+        for j, part in enumerate(parts):
+            coefficients._shift_pass(np.array(part, dtype=np.int64), out, series, scratch)
+            value = [v + x * base**j for v, x in zip(value, out.tolist())]
+    return value
+
+
 class TestSeriesKernel:
     @pytest.mark.parametrize("scale", [1, 11])
     def test_jacobi_cube_matches_naive(self, scale):
@@ -198,10 +230,19 @@ class TestSeriesKernel:
         assert coefficients._sparse_product(first, second, n).tolist() == expected
 
     @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_blocked_passes_match_naive(self, monkeypatch, block):
-        # tiny blocks split every level-11 pass into many
+    @pytest.mark.parametrize("name,descriptor,headroom", [
+        ("delta", DELTA, None),
+        ("delta", DELTA, 1 << 20),
+        ("11a", FORM_11A, None),
+        ("11a", FORM_11A, 1 << 5),
+    ])
+    def test_blocked_passes_match_naive(self, monkeypatch, block, name, descriptor, headroom):
+        # tiny blocks split every pass into many.  The level-11 table runs its own
+        # passes; delta, built by squarings, is checked against the pass route too,
+        # whose six Jacobi-cube passes are the only weighted ones.  A low headroom
+        # runs every pass of that route on several limbs
         monkeypatch.setattr(coefficients, "_PASS_BLOCK", block)
-        at_start, past_end = False, False
+        at_start, past_end, limbs = False, False, []
         shift_pass = coefficients._shift_pass
 
         def pass_spy(cur, out, series, scratch):
@@ -214,9 +255,11 @@ class TestSeriesKernel:
 
         monkeypatch.setattr(coefficients, "_shift_pass", pass_spy)
         for n in (1, 2, 37, 300):
-            table = expand_eta_product(FORM_11A, n)
-            assert table._values.tolist() == naive_eta_coefficients(ETA_FACTOR_SPECS["11a"], n)
+            oracle = naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
+            assert _pass_route(ETA_FACTOR_SPECS[name], n, headroom, limbs) == oracle
+            assert expand_eta_product(descriptor, n)._values.tolist() == oracle
         assert at_start and past_end
+        assert (max(limbs) > 1) == (headroom is not None)
 
     def test_weighted_pass_with_one_block_of_scratch(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_PASS_BLOCK", 16)
@@ -238,14 +281,33 @@ class TestSeriesKernel:
         with pytest.raises(ValueError, match="too large for an exact int64 sparse product"):
             coefficients._sparse_product(wide, wide, 4)
 
-    def test_pass_guard_raises_before_any_pass(self, monkeypatch):
-        # max|x| * sum|w| over the two level-11 passes would reach 2^63
+    @pytest.mark.parametrize("name,descriptor", [("delta", DELTA), ("11a", FORM_11A)])
+    def test_limb_guard_raises_before_any_pass(self, monkeypatch, name, descriptor):
+        # each route's guard on its int64 limb stops the build before the next
+        # stage: delta's first squaring product, pushed 0.3 off its integers,
+        # before any other transform; the level-11 product, whose max|x| * sum|w|
+        # over the two passes would reach 2^63, before the first pass
+        oracle = naive_eta_coefficients(ETA_FACTOR_SPECS[name], 100)
+        assert expand_eta_product(descriptor, 100)._values.tolist() == oracle
         calls = []
-        monkeypatch.setattr(coefficients, "_sparse_product", lambda f, s, n: np.full(n, 1 << 60))
-        monkeypatch.setattr(coefficients, "_shift_pass", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="too large for exact int64 passes"):
-            expand_eta_product(FORM_11A, 100)
-        assert calls == []
+        for stage in ("_shift_pass", "_spot_check"):
+            monkeypatch.setattr(coefficients, stage, lambda *a, stage=stage: calls.append(stage))
+        if name == "delta":
+            irfft = np.fft.irfft
+
+            def perturbed(*args):
+                calls.append("irfft")
+                return irfft(*args) + 0.3
+
+            monkeypatch.setattr(np.fft, "irfft", perturbed)
+            error, message = VerificationError, "FFT product of digits 0 and 0 is off an integer"
+        else:
+            monkeypatch.setattr(coefficients, "_sparse_product",
+                                lambda f, s, n: np.full(n, 1 << 60))
+            error, message = ValueError, "too large for exact int64 passes"
+        with pytest.raises(error, match=message):
+            expand_eta_product(descriptor, 100)
+        assert calls == (["irfft"] if name == "delta" else [])
 
     @settings(max_examples=40, deadline=None)
     @given(_limb_series())
