@@ -747,21 +747,24 @@ def _as_float(values) -> np.ndarray:
 def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
     """The pairs (n, a) with a^2 > c^2 n^pk, in the given order, as Python ints.
 
+    ns None stands for the indices 1..len(values), made one block at a time.
     float64 only screens: |a| < c n^(pk/2) (1 - margin) with a finite bound
     clears an entry, and every entry it does not clear is decided in exact
     integers.
     """
     out = []
-    for lo in range(0, len(ns), _SCREEN_BLOCK):
+    for lo in range(0, len(values), _SCREEN_BLOCK):
         block = slice(lo, lo + _SCREEN_BLOCK)
+        vs, cs = values[block], c[block]
+        idx = np.arange(lo + 1, lo + 1 + len(vs)) if ns is None else ns[block]
         with np.errstate(over="ignore"):  # an overflowed bound is inf, never cleared
-            bound = np.power(_as_float(ns[block]), pk / 2)
-            bound *= c[block]
+            bound = np.power(_as_float(idx), pk / 2)
+            bound *= cs
             bound *= 1 - _SCREEN_MARGIN
-            a = _as_float(values[block])
+            a = _as_float(vs)
             cleared = (np.abs(a, out=a) < bound) & np.isfinite(bound)
-        for i in (np.flatnonzero(~cleared) + lo).tolist():
-            n, an, cn = int(ns[i]), int(values[i]), int(c[i])
+        for i in np.flatnonzero(~cleared).tolist():
+            n, an, cn = int(idx[i]), int(vs[i]), int(cs[i])
             if an * an > cn * cn * n**pk:
                 out.append((n, an))
     return out
@@ -789,8 +792,7 @@ def check_identities(table: CoeffTable) -> IdentityReport:
         for i in np.flatnonzero(vals[n - 1] != expected).tolist():
             entry = (int(n[i]), int(vals[n[i] - 1]), int(expected[i]))
             (mult if q[i] % p[i] else hecke).append(entry)
-    del spf  # freed before the divisor screen allocates its index column
-    divisor = _size_violations(np.arange(1, n_max + 1), vals, d[1:], pk)
+    divisor = _size_violations(None, vals, d[1:], pk)
     # d(p) = 2, so at a prime the divisor bound is the Deligne bound
     deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
     return IdentityReport(n_max, hecke, mult, deligne, divisor)

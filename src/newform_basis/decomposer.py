@@ -43,10 +43,14 @@ PARTNER_CAP = 10_000
 # depth, and targets with |Z| <= BAND_LIMIT share one precomputed band of splits.
 CANDIDATE_CAP = 16
 BAND_LIMIT = 128
-# Rows of the first half that one probe of a meet or band join handles at
-# once; 2^14 rows keep each of the probe's int64 temporaries at 128 KB and,
-# for ascending rows, the slice of the second half one chunk searches within
-# the 2 MB L2, which measured faster on search-delta than 2^13, 2^16 or 2^18.
+# Rows of the first half that one probe of a cross meet or band join handles
+# at once, and the most keys and table entries of one merge piece of a
+# self-join meet; 2^14 rows keep each of the probe's int64 temporaries at
+# 128 KB and, for ascending rows, the slice of the second half one chunk
+# searches within the 2 MB L2, which measured faster on search-delta than
+# 2^13, 2^16 or 2^18.  The merge buffer is then 256 KB; as the merge piece,
+# 2^13, 2^15 and 2^16 measured no faster on search-delta (2^16 read 1 MB
+# more peak RSS).
 PROBE_CHUNK = 1 << 14
 
 
@@ -402,6 +406,46 @@ def _self_splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> d
     return groups
 
 
+def _self_meet(sums: np.ndarray, firsts: np.ndarray, Z: int) -> list[tuple[int, int]]:
+    """``_self_splits(firsts, sums, Z, 0).get(Z, [])`` by a bounded sorted merge.
+
+    firsts is an ascending slice of the ascending, deduplicated int64 table
+    sums, each of whose complements Z - s1 lies in sums' range.  The rows
+    s1 <= m = Z // 2 ascend, so their keys Z - s1 descend, and a split is a
+    key that is also an entry of sums.  Each step writes into one buffer of
+    2 PROBE_CHUNK entries a piece of at most PROBE_CHUNK keys, reversed so
+    that they ascend, and the slice of sums they span; a slice longer than
+    PROBE_CHUNK keeps its top PROBE_CHUNK entries and the piece shrinks to
+    the keys it still reaches.  A stable sort (timsort for int64, which
+    merges the two ascending runs in linear time) then puts each split's key
+    beside its entry.  The walk stops after the piece that brings the
+    lower-half splits to CANDIDATE_CAP and mirrors them as ``_self_splits``
+    does, so the pairs and their order are the same.
+    """
+    m = Z // 2
+    rows = firsts[:firsts.searchsorted(m, "right")]
+    buf = np.empty(2 * PROBE_CHUNK, np.int64)
+    found: list[int] = []
+    st = 0
+    while st < len(rows) and len(found) < CANDIDATE_CAP:
+        piece = rows[st:st + PROBE_CHUNK]
+        b0, b1 = sums.searchsorted(Z - piece[-1]), sums.searchsorted(Z - piece[0], "right")
+        if b1 - b0 > PROBE_CHUNK:
+            b0 = b1 - PROBE_CHUNK
+            piece = piece[:piece.searchsorted(Z - sums[b0], "right")]
+        k, n = len(piece), len(piece) + b1 - b0
+        np.subtract(Z, piece[::-1], out=buf[:k])
+        buf[k:n] = sums[b0:b1]
+        merged = buf[:n]
+        merged.sort(kind="stable")
+        hits = merged[1:][merged[1:] == merged[:-1]]
+        found += (Z - hits[::-1]).tolist()  # descending keys: the order of rows
+        st += k
+    pairs = [(s1, Z - s1) for s1 in found[:CANDIDATE_CAP]]
+    mirrored = [(s2, s1) for s1, s2 in reversed(pairs) if s2 > m]
+    return pairs + mirrored[:CANDIDATE_CAP - len(pairs)]
+
+
 class SearchDecomposer:
     """Iterative-deepening meet-in-the-middle over multisets of coefficient values.
 
@@ -417,13 +461,18 @@ class SearchDecomposer:
 
     ``_multiset_sums`` builds a table level by level, each laid out by first
     index so that the tuples with first index >= i are a suffix of the level
-    below; the table is then sorted and deduplicated in place.  The meet and
-    the band join are one collector, ``_splits``, over the chunked ``_probe``:
-    a meet holds at most one chunk of temporaries beside the tables, and each
-    chunk searches only the slice of the second half its windows can reach,
-    which stays in cache.  When both halves are the same table (h1 = h2 >= 2)
-    the splits of a total are symmetric, so ``_self_splits`` probes only the
-    rows s1 <= (Z + width) / 2 and mirrors the rest, half the searches.
+    below; the table is then sorted and deduplicated in place.  A meet of one
+    table with itself (h1 = h2 >= 2, |Z| > BAND_LIMIT) is a merge,
+    ``_self_meet``: the splits of a total are symmetric, so it walks only the
+    rows s1 <= Z // 2, sorting their keys Z - s1 piece by piece together with
+    the slice of the table they span in one buffer of 2 PROBE_CHUNK entries,
+    with no binary search per row, and mirrors the rest.  The band join and
+    the cross meets (h1 != h2) are one collector, ``_splits``, over the
+    chunked ``_probe``, each chunk searching only the slice of the far denser
+    second half its windows can reach, which stays in cache; at h1 = h2 the
+    band likewise probes only half its rows, through ``_self_splits``.  A
+    meet holds at most one chunk or one merge buffer of temporaries beside
+    the tables.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
@@ -504,12 +553,16 @@ class SearchDecomposer:
         """The first CANDIDATE_CAP half-sum splits (s1, s2) with s1 + s2 = Z.
 
         The first half is every a(n) in index order at h1 = 1, else the
-        ascending h1-sums; ``_splits`` at width 0 walks only the rows whose
-        complement Z - s1 lies in the h2-sums' range.  At h1 = h2 >= 2 the
-        halves are one table, so ``_self_splits`` walks only the rows
-        s1 <= Z // 2 and mirrors the rest: half the searches.  The h1 = 1 rows
-        are unsorted and repeat values, so they take no mirror.  At h1 >= 2 a
-        target with |Z| <= BAND_LIMIT reads the band instead.
+        ascending h1-sums, cut to the rows whose complement Z - s1 lies in the
+        h2-sums' range.  At h1 = h2 >= 2 the halves are one table, so
+        ``_self_meet`` merges the rows s1 <= Z // 2 with it and mirrors the
+        rest.  The cross meets take ``_splits`` at width 0, one search per row
+        in a far denser second half: on the 2 + 3 meet of a 6-sum target on
+        the weight-12 table to 1000, 1.5·10^5 rows against a 6·10^6-entry
+        span of the 3-sums took 10-17 ms by search and 16-28 ms by merge.
+        The h1 = 1 rows are unsorted and repeat values, so they take no
+        mirror.  At h1 >= 2 a target with |Z| <= BAND_LIMIT reads the band
+        instead.
         """
         sums2 = self._half_table(h2)
         if not len(sums2):
@@ -518,7 +571,6 @@ class SearchDecomposer:
         if h1 == 1:
             # the table's values; those whose complement lies in sums2's range fit int64
             firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
-            join = _splits  # unsorted, with repeats: no mirror
         elif abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
         else:
@@ -526,8 +578,9 @@ class SearchDecomposer:
             if not int(sums1[0]) + lo <= Z <= int(sums1[-1]) + hi:
                 return []  # no split; a search key past int64 would cast sums1 to object
             firsts = sums1[np.searchsorted(sums1, Z - hi):np.searchsorted(sums1, Z - lo, "right")]
-            join = _self_splits if h1 == h2 else _splits
-        return join(firsts, sums2, Z, 0).get(Z, [])
+            if h1 == h2:
+                return _self_meet(sums2, firsts, Z)
+        return _splits(firsts, sums2, Z, 0).get(Z, [])
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.

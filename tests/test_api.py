@@ -44,6 +44,7 @@ def parameters(fn) -> list[str]:
     (primes.spf_blocks, ["spf"]),
     (primes.divisor_counts, ["spf"]),
     (coefficients._square, ["limbs", "n"]),
+    (decomposer._self_meet, ["sums", "firsts", "Z"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected

@@ -471,17 +471,20 @@ class TestSearchTables:
         return SearchDecomposer(mirrored)
 
     @staticmethod
-    def _counting_probe(monkeypatch):
-        """Patch _probe to record the rows of firsts each drawn chunk covers."""
-        probe, rows = decomposer._probe, []
+    def _counting_merge(monkeypatch):
+        """Record the rows of each merge piece: the keys Z - s1 the self-join writes to its buffer."""
+        rows = []
 
-        def counting(firsts, *args):
-            starts = range(0, len(firsts), decomposer.PROBE_CHUNK)
-            for st, chunk in zip(starts, probe(firsts, *args)):
-                rows.append(len(firsts[st:st + decomposer.PROBE_CHUNK]))
-                yield chunk
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(decomposer, "_probe", counting)
+            @staticmethod
+            def subtract(x, piece, **kwargs):
+                rows.append(len(piece))
+                return np.subtract(x, piece, **kwargs)
+
+        monkeypatch.setattr(decomposer, "np", CountingNumpy())
         return rows
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -546,34 +549,89 @@ class TestSearchTables:
                        for row in zip(s1.tolist(), lo.tolist())]
                 assert got == expected, (firsts, sums2, Z, width)
 
+    @staticmethod
+    def _skewed_table(rng) -> np.ndarray:
+        """A dense run and a sparse run of distinct values, the dense one at 0 or near ±2^62."""
+        far = int(rng.choice([0, (1 << 62) - 2000, 2000 - (1 << 62)]))
+        dense = far + int(rng.integers(-100, 100)) + np.arange(rng.integers(1, 80))
+        gaps = rng.integers(1, 12, size=rng.integers(1, 40))
+        sparse = int(rng.integers(-500, 500)) + np.cumsum(gaps)
+        return np.unique(np.concatenate([dense, sparse]).astype(np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_self_meet_matches_self_splits(self, monkeypatch, chunk):
+        # sparse rows against dense keys span more than a piece of sums, which
+        # forces the capped slice; every total stays within 2^62
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        cap = decomposer.CANDIDATE_CAP
+        lower_halves, parities, far_keys = set(), set(), set()
+        capped = diagonal = False
+        for _ in range(400):
+            sums = self._skewed_table(rng)
+            x, y = (int(v) for v in rng.choice(sums, 2))
+            Z = int(rng.choice([x + y, 2 * x, x + y + 1]))
+            if abs(Z) >= 1 << 62:
+                continue
+            lo, hi = int(sums[0]), int(sums[-1])
+            firsts = np.array([s for s in sums.tolist() if lo <= Z - s <= hi], np.int64)
+            pairs = decomposer._self_meet(sums, firsts, Z)
+            assert pairs == decomposer._self_splits(firsts, sums, Z, 0).get(Z, []), (sums, Z)
+            rows = firsts[:firsts.searchsorted(Z // 2, "right")]
+            lower_halves.add(sum(Z - s1 in sums for s1 in rows.tolist()))
+            parities.add(Z % 2)
+            diagonal |= pairs.count((Z // 2, Z // 2)) == 1 and Z % 2 == 0
+            far_keys |= {s2 > 0 for _, s2 in pairs if abs(s2) > 1 << 61}
+            if len(rows):
+                piece = rows[:chunk]
+                span = sums.searchsorted(Z - piece[0], "right") - sums.searchsorted(Z - piece[-1])
+                capped |= span > chunk
+        assert {cap - 1, cap, cap + 1} <= lower_halves and parities == {0, 1}
+        assert diagonal and far_keys == {False, True}
+        assert capped or chunk == 1  # one key spans at most one entry
+
     def test_meet_stops_at_the_cap(self, monkeypatch, small_searcher, mirror_searcher):
         monkeypatch.setattr(decomposer, "PROBE_CHUNK", 1)
-        rows = self._counting_probe(monkeypatch)
+        rows = self._counting_merge(monkeypatch)
         cap = decomposer.CANDIDATE_CAP
         # Z = 820 has 21 splits 400 + 420, ..., 420 + 400 over the 2-sums of
-        # 200..218; the self-join draws exactly the 11 rows s1 <= 410 and
+        # 200..218; the self-join merges exactly the 11 rows s1 <= 410 and
         # mirrors the first 5 of them to fill the cap
         pairs = small_searcher._meet(820, 2, 2)
-        assert len(pairs) == cap and len(rows) == 11
+        assert len(pairs) == cap and rows == [1] * 11
         assert pairs == _brute_meet(small_searcher, 820, 2, 2)
         # Z = 1232 has 33 splits, 17 of them with s1 <= 616: the cap fills
-        # on the 16th probed row, and the walk stops there
+        # on the 16th merged row, and the walk stops there
         rows.clear()
         pairs = mirror_searcher._meet(1232, 2, 2)
         lower = [s1 for s1 in _first_half(mirror_searcher, 1232, 2, 2) if s1 <= 616]
         assert len(pairs) == cap and len(rows) == lower.index(pairs[-1][0]) + 1 == cap < len(lower)
 
     def test_six_sum_self_join_probes_the_lower_half(self, monkeypatch, delta_searcher, delta_1k):
-        # the ell = 6 meet of the 6-sum target below; a full walk of its
-        # window draws about 4.2·10^6 rows before the cap fills, the mirrored
-        # walk draws only the 3-sums <= Z // 2 (about 1.6·10^6)
+        # ell = 6 meets of two 6-sum targets.  A full walk of the first one's
+        # window reads about 4.2·10^6 rows before the cap fills; the mirrored
+        # walk reads only the 3-sums <= Z // 2 (about 1.6·10^6), which hold 10
+        # of its splits, so it reads each of them once.  The second one's
+        # lower half holds 17 splits, and the walk stops after the piece that
+        # holds the 16th.
         sd = delta_searcher
-        Z = sum(delta_1k.a(i) for i in (17, 58, 133, 201, 256, 300))
         sums3 = sd._half_table(3)
-        rows = self._counting_probe(monkeypatch)
-        pairs = sd._meet(Z, 3, 3)
-        assert len(pairs) == decomposer.CANDIDATE_CAP
-        assert sum(rows) <= np.searchsorted(sums3, Z // 2, "right")
+        lo, hi = int(sums3[0]), int(sums3[-1])
+        cap = decomposer.CANDIDATE_CAP
+        rows = self._counting_merge(monkeypatch)
+        for indices, splits in (((17, 58, 133, 201, 256, 300), 10),
+                                ((15, 164, 187, 195, 217, 239), 17)):
+            Z = sum(delta_1k.a(i) for i in indices)
+            rows.clear()
+            assert len(sd._meet(Z, 3, 3)) == cap
+            lower = sums3[(sums3 >= Z - hi) & (sums3 <= min(Z - lo, Z // 2))]
+            comps = Z - lower
+            hits = np.flatnonzero(sums3.take(np.searchsorted(sums3, comps), mode="clip") == comps)
+            assert len(hits) == splits and max(rows) <= decomposer.PROBE_CHUNK
+            if splits < cap:
+                assert sum(rows) == len(lower)
+            else:
+                assert sum(rows[:-1]) <= hits[cap - 1] < sum(rows) < len(lower)
 
     def test_six_sum_meet_holds_one_chunk(self, delta_searcher, delta_1k):
         sd = delta_searcher
@@ -589,9 +647,30 @@ class TestSearchTables:
         finally:
             tracemalloc.stop()
         assert d.ell == 6 and verify_decomposition(d, delta_1k).ok
-        # The 3 + 3 meet probes a 6·10^6-entry table of 3-sums.  One chunk of
-        # PROBE_CHUNK rows (2^14) needs about four 128 KB temporaries; probing
-        # the whole table at once made three 48 MB arrays (about 140 MB in
-        # all).  32 MB is below a single table-sized array and well above one
-        # chunk.
+        # The 2 + 3 and 3 + 3 meets join a 6·10^6-entry table of 3-sums.  One
+        # probe chunk of PROBE_CHUNK rows (2^14) needs about four 128 KB
+        # temporaries and one merge piece a 256 KB buffer; probing the whole
+        # table at once made three 48 MB arrays (about 140 MB in all).  32 MB
+        # is below a single table-sized array and well above one chunk.
         assert peak < 32 * 2**20
+
+    def test_far_six_sum_meet_peak(self, delta_searcher, delta_1k):
+        # Z is about -1.1·10^13, like the benchmark's 6-sums: the 3 + 3 meet's
+        # keys then span far more 3-sums than rows, and each merge piece's
+        # slice of the table is capped at PROBE_CHUNK entries.  The decompose
+        # peaked at 0.52 MB (traced, tables prebuilt); a merge of each
+        # 2^14-row piece with its whole slice read 5.8 MB.
+        sd = delta_searcher
+        for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
+            for r in range(1, h + 1):
+                sd._sums(r, sd._pool(h))
+        Z = sum(delta_1k.a(i) for i in (15, 164, 187, 195, 217, 239))
+        assert Z == -11_103_518_303_120
+        tracemalloc.start()
+        try:
+            d = sd.decompose(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.ell == 6 and verify_decomposition(d, delta_1k).ok
+        assert peak < 2 * 0.52 * 2**20
