@@ -18,12 +18,13 @@ each other so they can cross-check:
   over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
 All stored coefficients are exact integers.  The sparse product and every
-pass run in exact int64.  ``_square`` takes and returns a series as integer
-limbs, value = sum_j limb_j 2^(32 j), and squares it by real FFT products of
-balanced digit series, of a width that a stated float64 error bound keeps
-every rounding error below 1/4 for, checked again on every product; the
-rounded products carry into int64 words, and more than one output limb
-combines into exact Python ints at the end.  The size checks
+pass run in exact int64.  ``_square`` takes and returns a series as balanced
+W-bit digit series, value = sum_i d_i 2^(W i), and squares it by real FFT
+products of digit pairs, at the width W that a stated float64 error bound
+keeps every rounding error below 1/4 for, checked again on every product;
+the rounded products carry into one int64 array that each output digit is
+taken off, and the final digits combine into int64 words and, when there is
+more than one, into exact Python ints.  The size checks
 (``check_identities`` and the loader's Deligne check) compare in float64
 only as a screen: every entry the screen does not clear is decided in exact
 integers.
@@ -72,11 +73,6 @@ _ETA_FACTORS: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {
 MAX_TABLE = 1 << 27  # longest coefficient table: one 1 GiB int64 array
 
 _INT64 = 1 << 63
-# A squared series is held as integer limbs, value = sum_j limb_j 2^(32 j);
-# ``_square`` returns them normalized: every limb below the top a uint32, the
-# top one int64.
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Output rows of one shifted-add pass block: 2^16 int64 rows are 512 KB, so a
 # block stays in a 2 MB per-core L2 while its terms add into it.
 _PASS_BLOCK = 1 << 16
@@ -318,17 +314,16 @@ def _sparse_product(first, second, n: int) -> np.ndarray:
     return out
 
 
-def _shift_pass(cur, out, series, scratch) -> None:
+def _shift_pass(cur, out, series) -> None:
     """out = cur times the sparse series, truncated to len(cur), in int64.
 
-    Exact when max|cur| * sum|w| < 2^63, which ``_eta_values`` checks before
-    the first pass.  The pass fills ``_PASS_BLOCK`` output rows at a time,
-    adding the terms into a block up to the first exponent past its end, so
-    the series' exponents must ascend.  The 512 KB block stays in a per-core
-    L2 cache across all its terms while ``cur`` streams past; a whole-array
-    add per term would refetch the output from L3 every time.  A weight other
-    than +-1 multiplies into ``scratch``, which needs min(len(cur),
-    _PASS_BLOCK) rows.
+    Every weight must be +-1; any other raises ValueError.  Exact when
+    max|cur| * sum|w| < 2^63, which ``_eta_values`` checks before the first
+    pass.  The pass fills ``_PASS_BLOCK`` output rows at a time, adding the
+    terms into a block up to the first exponent past its end, so the series'
+    exponents must ascend.  The 512 KB block stays in a per-core L2 cache
+    across all its terms while ``cur`` streams past; a whole-array add per
+    term would refetch the output from L3 every time.
     """
     n = len(cur)
     exps, weights = series[0].tolist(), series[1].tolist()
@@ -345,9 +340,7 @@ def _shift_pass(cur, out, series, scratch) -> None:
             elif w == -1:
                 dst -= src
             else:
-                part = scratch[:b1 - lo]
-                np.multiply(src, w, out=part)
-                dst += part
+                raise ValueError(f"a shifted-add pass takes weights +-1 only, got {w}")
 
 
 def _peak(x: np.ndarray) -> int:
@@ -368,9 +361,9 @@ def _transform(m: int) -> tuple[int, int]:
 
 
 def _digit_bits(n: int) -> int:
-    """Width W of the balanced digits |d| <= 2^(W-1) that ``_square`` splits a
-    series of n terms into: the largest W with n 4^(W-1) (13 k + 3) < 2^51,
-    k from ``_transform(2 n - 1)``.
+    """Width W of the balanced digits |d| <= 2^(W-1) that ``_square`` takes and
+    returns a series of n terms in: the largest W with n 4^(W-1) (13 k + 3) <
+    2^51, k from ``_transform(2 n - 1)``.
 
     Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the error of the FFT
     product of x and y of length 2^k by ||x|| ||y|| ((1 + e)^(3k)
@@ -386,62 +379,43 @@ def _digit_bits(n: int) -> int:
     return w
 
 
-def _digits(limbs: list[np.ndarray], w: int) -> list[np.ndarray]:
-    """Balanced w-bit digits d_i in [-2^(w-1), 2^(w-1)), value = sum_i d_i
-    2^(w i), top zero digits dropped, from integer limbs of any size, which are
-    popped from ``limbs`` as they are read.  Each limb adds its low 32 bits and
-    carries its high part into the next, so for w <= 29 the accumulator stays
-    below 2^(w + 34) < 2^63.  A digit is stored in the smallest integer dtype
-    that holds it."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    acc, high, have, digits = np.zeros(len(limbs[0]), dtype=np.int64), 0, 0, []
-
-    def emit():
-        d = ((acc + half) & mask) - half
-        np.right_shift(acc - d, w, out=acc)
-        digits.append(d.astype(np.min_scalar_type(-half)))
-
-    while limbs:
-        limb = limbs.pop(0).astype(np.int64, copy=False)
-        acc += ((limb & _LIMB_MASK) + high) << have
-        high = limb >> _LIMB_BITS
-        have += _LIMB_BITS
-        for _ in range(have // w):
-            emit()
-        have %= w
-    acc += high << have
-    while acc.any():
-        emit()
-    while digits and not digits[-1].any():
-        digits.pop()
-    return digits
+def _emit(carry: np.ndarray, w: int) -> np.ndarray:
+    """Take the balanced low w bits d in [-2^(w-1), 2^(w-1)) off the int64
+    array ``carry`` in place, carry = (carry - d) / 2^w, and return d in the
+    smallest integer dtype that holds it.  Exact for every int64: carry +
+    2^(w-1) may wrap, but not in its low w bits."""
+    half = 1 << (w - 1)
+    d = carry + half
+    d &= (1 << w) - 1
+    d -= half
+    carry >>= w
+    carry += d < 0  # (carry - d) / 2^w = floor(carry / 2^w) + [d < 0]
+    return d.astype(np.min_scalar_type(-half))
 
 
-def _square(limbs: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """The exact square, truncated to n terms, of the series sum_j limbs[j]
-    2^(32 j) given as integer limbs of any size, which it empties; as
-    normalized limbs, uint32 below the top and the int64 top in [-2^32, 2^32).
+def _square(digits: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
+    """The exact square, truncated to n terms, of the series sum_i digits[i]
+    2^(w i) given as digit series |d| <= 2^(w-1) of n terms, w =
+    ``_digit_bits(n)``; as balanced w-bit digit series, top zero digits
+    dropped, so a zero square is [].
 
-    The input splits into balanced ``_digit_bits(n)``-bit digit series d_i.
     Digit group s, sum_{i+j=s} d_i d_j, takes one real FFT product per pair
     i <= j, its i ascending in even groups and descending in odd ones, so that
     each pair shares a digit with the next and that digit's spectrum is kept
     for it: at most three spectrum-sized arrays are alive at a time.  A
     product more than 1/4 off an integer raises VerificationError; otherwise
-    it rounds into one carried int64 array, and once group s is in, the
-    carry's low W bits join the next 32-bit output limb.  A rounded product is
-    below 2^51, so the carry stays far below 2^63.
+    it rounds into one carried int64 array, and once group s is in, ``_emit``
+    takes output digit s off the carry.  A rounded product is below 2^51, so
+    the carry stays far below 2^63.
     """
-    w = _digit_bits(n)
     size, _ = _transform(2 * n - 1)
-    digits = _digits(limbs, w)
     d = len(digits)
     pairs = [(i, s - i) for s in range(2 * d - 1)
              for i in range(max(0, s - d + 1), s // 2 + 1)[::1 - 2 * (s % 2)]]
     kept = kept_spectrum = None  # the digit shared with the next pair, and its spectrum
-    carry, next_limb, have, out, s, k = np.zeros(n, dtype=np.int64), 0, 0, [], 0, 0
-    while s < 2 * d - 1 or ((carry != 0) & (carry != -1)).any():
-        while k < len(pairs) and sum(pairs[k]) == s:
+    carry, out, k = np.zeros(n, dtype=np.int64), [], 0
+    while len(out) < 2 * d - 1 or carry.any():
+        while k < len(pairs) and sum(pairs[k]) == len(out):
             i, j = pairs[k]
             k += 1
             a = kept_spectrum if kept == i else np.fft.rfft(digits[i], size)
@@ -467,18 +441,9 @@ def _square(limbs: list[np.ndarray], n: int) -> list[np.ndarray]:
                 r *= 2  # d_i d_j + d_j d_i
             carry += r.astype(np.int64)
             del r
-        next_limb += (carry & ((1 << w) - 1)) << have
-        carry >>= w
-        have += w
-        s += 1
-        if have >= _LIMB_BITS:
-            out.append((next_limb & _LIMB_MASK).astype(np.uint32))
-            next_limb >>= _LIMB_BITS
-            have -= _LIMB_BITS
-    out.append(next_limb + (carry << have))  # carry is 0 or -1
-    while len(out) > 1 and ((out[-1] == 0) | (out[-1] == -1)).all():
-        top = out.pop()
-        out[-1] = out[-1] + (top << _LIMB_BITS)
+        out.append(_emit(carry, w))
+    while out and not out[-1].any():
+        out.pop()
     return out
 
 
@@ -487,37 +452,43 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
     factors = ((scale, power) pairs, s), exactly.
 
     The two longest sparse series multiply in int64; each of the others runs
-    as one shifted-add pass, exact in int64 by the bound max|x| * sum|w|
-    checked before the first, ``_PASS_BLOCK`` rows at a time, a block that
-    stays in L2 while every term adds into it, so ``scratch`` holds one block.
-    ``_square`` then squares the product s times on 32-bit limbs, which
-    combine into exact Python ints when there is more than one.
+    as one shifted-add pass, exact in int64 by the bound max|x| * sum|w| and
+    the weights +-1, both checked before the first pass (ValueError), with
+    ``_PASS_BLOCK`` rows at a time, a block that stays in L2 while every term
+    adds into it.  For s > 0 ``_emit`` splits the product into balanced
+    W-bit digit series, W = ``_digit_bits(n_max)``, that ``_square`` squares
+    s times; the final digits combine 62 // W at a time into int64 words,
+    |word| < 2^62, which join into exact Python ints, top word first, when
+    there is more than one.
     """
     pairs, squarings = factors
     first, second, *rest = _sparse_series(pairs, n_max - 1)
     value = _sparse_product(first, second, n_max)
+    if not all(np.isin(w, (1, -1)).all() for _, w in rest):
+        raise ValueError("a shifted-add pass takes weights +-1 only")
     if _peak(value) * prod(int(np.abs(w).sum()) for _, w in rest) >= _INT64:
         raise ValueError(f"n_max = {n_max} too large for exact int64 passes")
     spare = np.empty_like(value)
-    weighted = any(int(np.abs(w).max()) > 1 for _, w in rest)
-    scratch = np.empty(min(n_max, _PASS_BLOCK), dtype=np.int64) if weighted else None
     for series in rest:
-        _shift_pass(value, spare, series, scratch)
+        _shift_pass(value, spare, series)
         value, spare = spare, value
-    limbs = [value]
-    del value, spare, scratch  # _square frees each limb as it reads it
+    if not squarings:
+        return value
+    w, digits = _digit_bits(n_max), []
+    while value.any():
+        digits.append(_emit(value, w))
+    del value, spare
     for _ in range(squarings):
-        limbs = _square(limbs, n_max)
-    value = limbs.pop()
-    if limbs:
+        digits = _square(digits, n_max, w)
+    g = 62 // w  # digits per word
+    words = [sum(d.astype(np.int64) << (w * t) for t, d in enumerate(digits[i:i + g]))
+             for i in range(0, len(digits), g)] or [np.zeros(n_max, dtype=np.int64)]
+    value = words.pop()
+    if words:
         value = value.astype(object)
-        while limbs:  # two uint32 limbs at a time, as one uint64 word
-            word, bits = limbs.pop().astype(np.uint64), _LIMB_BITS
-            if limbs:
-                word = word << _LIMB_BITS | limbs.pop()
-                bits *= 2
-            value <<= bits
-            value += word
+        while words:
+            value <<= g * w
+            value += words.pop()
     return value
 
 
@@ -538,9 +509,10 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     longest multiply sparse by sparse.  The level-11 form runs the other two
     as shifted-add passes, exact in int64, each filling its output 2^16 rows
     (512 KB) at a time, a block that stays in a per-core L2 cache while all
-    the series' terms add into it.  Delta squares eta^6 twice by ``_square``,
-    exact FFT products of digit series that a stated error bound sizes and a
-    guard on every product checks (VerificationError).
+    the series' terms add into it.  Delta splits eta^6 into balanced digit
+    series, of a width that a stated error bound sizes, and squares them twice
+    by ``_square``, exact FFT products that a guard on every product checks
+    (VerificationError); the final digits combine into exact integers.
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError

@@ -36,14 +36,14 @@ def parameters(fn) -> list[str]:
     (coefficients._spot_check, ["table"]),
     (primes.prime_array, ["limit"]),
     (coefficients._eta_values, ["factors", "n_max"]),
-    (coefficients._shift_pass, ["cur", "out", "series", "scratch"]),
+    (coefficients._shift_pass, ["cur", "out", "series"]),
     (decomposer._multiset_sums, ["vals", "h"]),
     (decomposer._probe, ["firsts", "sums2", "Z", "width"]),
     (nb.hecke_extend, ["descriptor", "prime_coeffs", "n_max"]),
     (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
     (primes.spf_blocks, ["spf"]),
     (primes.divisor_counts, ["spf"]),
-    (coefficients._square, ["limbs", "n"]),
+    (coefficients._square, ["digits", "n", "w"]),
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
@@ -57,10 +57,11 @@ def test_one_shot_decompose_wrappers_are_gone():
 
 
 def test_residue_tier_is_gone():
-    # no modulus, CRT lift or prime search is left, and no limb carry before a
-    # pass: delta squares by FFT products, the level-11 passes fit one int64 limb
+    # no modulus, CRT lift or prime search is left, no limb carry before a pass
+    # and no 32-bit limb format: delta squares digit series by FFT products, the
+    # level-11 passes fit one int64 limb
     for name in ("_moduli_for", "_crt_values", "_MODULUS_POOL", "_exact_headroom",
-                 "_carry", "_HEADROOM"):
+                 "_carry", "_HEADROOM", "_LIMB_BITS", "_LIMB_MASK"):
         assert not hasattr(coefficients, name)
     assert not hasattr(primes, "next_prime_below")
     assert not hasattr(nb, "next_prime_below") and "next_prime_below" not in nb.__all__

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ETA_FACTOR_SPECS, naive_check_identities, naive_eta_coefficients
 from newform_basis import (
@@ -132,11 +133,11 @@ def _dense(series, n):
 _INT64_MAX = (1 << 63) - 1
 
 
-def _recombine(limbs):
-    """sum_j limbs[j] * 2^(_LIMB_BITS j) as exact Python ints."""
-    value = np.zeros(len(limbs[0]), dtype=object)
-    for j, limb in enumerate(limbs):
-        value += limb.astype(object) * (1 << (coefficients._LIMB_BITS * j))
+def _recombine(digits, w, n):
+    """sum_i digits[i] * 2^(w i) over n terms as exact Python ints."""
+    value = np.zeros(n, dtype=object)
+    for i, d in enumerate(digits):
+        value += d.astype(object) * (1 << (w * i))
     return value
 
 
@@ -149,10 +150,10 @@ def _digest(values):
     return hashlib.sha256(values.astype("<i8").tobytes()).hexdigest()
 
 
-def _naive_square(limbs, n):
-    """The square of the series sum_j limbs[j] 2^(32 j), truncated to n terms,
+def _naive_square(digits, n, w):
+    """The square of the series sum_i digits[i] 2^(w i), truncated to n terms,
     by nested loops over exact Python ints."""
-    value = _recombine(limbs).tolist()
+    value = _recombine(digits, w, n).tolist()
     out = [0] * n
     for i, a in enumerate(value):
         for j in range(n - i):
@@ -160,17 +161,28 @@ def _naive_square(limbs, n):
     return out
 
 
-def _assert_normalized(limbs):
-    assert all(limb.dtype == np.uint32 for limb in limbs[:-1])
-    assert limbs[-1].dtype == np.int64
-    assert limbs[-1].min() >= -(1 << 32) and limbs[-1].max() < 1 << 32
+def _emitted(values, w):
+    """The balanced w-bit digits that ``_emit`` takes off the int64 values,
+    until nothing is left."""
+    carry, digits = np.array(values, dtype=np.int64), []
+    while carry.any():
+        digits.append(coefficients._emit(carry, w))
+    return digits
+
+
+def _assert_balanced(digits, w):
+    for d in digits:
+        assert -(1 << (w - 1)) <= d.min() and d.max() < 1 << (w - 1)
+    assert not digits or digits[-1].any()
 
 
 @st.composite
-def _limb_series(draw):
+def _digit_series(draw):
+    """Digit series |d| <= 2^(W-1) of n terms, W = _digit_bits(n), edges included."""
     n = draw(st.integers(min_value=1, max_value=300))
-    limb = st.lists(st.integers(-_INT64_MAX, _INT64_MAX), min_size=n, max_size=n)
-    return [np.array(draw(limb), dtype=np.int64) for _ in range(draw(st.integers(1, 3)))]
+    half = 1 << (coefficients._digit_bits(n) - 1)
+    digit = st.one_of(st.sampled_from([-half, half, 0]), st.integers(-half, half))
+    return [draw(arrays(np.int64, n, elements=digit)) for _ in range(draw(st.integers(1, 4)))]
 
 
 def _balanced_limbs(values, base):
@@ -183,6 +195,11 @@ def _balanced_limbs(values, base):
     return limbs
 
 
+# the factors of each pass route: delta as 24 pentagonal series, so that its
+# passes, like the level-11 ones, all have weights +-1
+_PASS_FACTORS = {"delta": ((1, 1),) * 24, "11a": ETA_FACTOR_SPECS["11a"]}
+
+
 def _pass_route(factors, n, headroom, limbs):
     """Coefficients 1..n of q * prod (1 - q^(scale m))^power: the two longest
     sparse series multiplied sparse, each other one a shifted-add pass.  With a
@@ -191,7 +208,7 @@ def _pass_route(factors, n, headroom, limbs):
     every pass."""
     first, second, *rest = coefficients._sparse_series(factors, n - 1)
     value = coefficients._sparse_product(first, second, n).tolist()
-    out, scratch = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
     for series in rest:
         base, total = 2, int(np.abs(series[1]).sum())
         while headroom is not None and base * total < headroom:
@@ -200,7 +217,7 @@ def _pass_route(factors, n, headroom, limbs):
         limbs.append(len(parts))
         value = [0] * n
         for j, part in enumerate(parts):
-            coefficients._shift_pass(np.array(part, dtype=np.int64), out, series, scratch)
+            coefficients._shift_pass(np.array(part, dtype=np.int64), out, series)
             value = [v + x * base**j for v, x in zip(value, out.tolist())]
     return value
 
@@ -238,43 +255,40 @@ class TestSeriesKernel:
     ])
     def test_blocked_passes_match_naive(self, monkeypatch, block, name, descriptor, headroom):
         # tiny blocks split every pass into many.  The level-11 table runs its own
-        # passes; delta, built by squarings, is checked against the pass route too,
-        # whose six Jacobi-cube passes are the only weighted ones.  A low headroom
-        # runs every pass of that route on several limbs
+        # passes; delta, built by squarings, is checked against the pass route
+        # of its 24 pentagonal factors too.  A low headroom runs every pass of
+        # that route on several limbs
         monkeypatch.setattr(coefficients, "_PASS_BLOCK", block)
         at_start, past_end, limbs = False, False, []
         shift_pass = coefficients._shift_pass
 
-        def pass_spy(cur, out, series, scratch):
+        def pass_spy(cur, out, series):
             nonlocal at_start, past_end
             n = len(cur)
             for g in series[0].tolist():
                 at_start |= 0 < g < n and g % block == 0  # the term starts a block
                 past_end |= block <= g < n  # the term lies wholly past the first block
-            shift_pass(cur, out, series, scratch)
+            shift_pass(cur, out, series)
 
         monkeypatch.setattr(coefficients, "_shift_pass", pass_spy)
         for n in (1, 2, 37, 300):
             oracle = naive_eta_coefficients(ETA_FACTOR_SPECS[name], n)
-            assert _pass_route(ETA_FACTOR_SPECS[name], n, headroom, limbs) == oracle
+            assert _pass_route(_PASS_FACTORS[name], n, headroom, limbs) == oracle
             assert expand_eta_product(descriptor, n)._values.tolist() == oracle
         assert at_start and past_end
         assert (max(limbs) > 1) == (headroom is not None)
 
-    def test_weighted_pass_with_one_block_of_scratch(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_PASS_BLOCK", 16)
-        rng = np.random.default_rng(16)
-        n = 100  # seven blocks, the last one short
-        cur = rng.integers(-(1 << 40), 1 << 40, size=n)
-        # 16 and 64 start blocks; 99 lies past the end of every block but the last
-        exps = np.array([0, 3, 16, 17, 40, 64, 95, 99])
-        weights = np.array([5, -1, 1, -7, 3, 2, -3, 9])
-        out, scratch = np.empty(n, dtype=np.int64), np.empty(16, dtype=np.int64)
-        coefficients._shift_pass(cur, out, (exps, weights), scratch)
-        expected = np.zeros(n, dtype=object)
-        for g, w in zip(exps.tolist(), weights.tolist()):
-            expected[g:] += w * cur[: n - g].astype(object)
-        assert out.tolist() == expected.tolist()
+    def test_pass_weight_other_than_one_raises(self, monkeypatch):
+        # delta's eight Jacobi cubes leave six cube passes, weights 2k + 1: the
+        # route refuses them before its first pass, and a pass refuses one alone
+        shift_pass, calls = coefficients._shift_pass, []
+        monkeypatch.setattr(coefficients, "_shift_pass", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="takes weights \\+-1 only"):
+            coefficients._eta_values((ETA_FACTOR_SPECS["delta"], 0), 50)
+        assert calls == []
+        cur, out = np.arange(10), np.empty(10, dtype=np.int64)
+        with pytest.raises(ValueError, match="takes weights \\+-1 only, got 3"):
+            shift_pass(cur, out, (np.array([0, 1]), np.array([1, 3])))
 
     def test_int64_guards(self):
         wide = (np.array([0]), np.array([2**32]))
@@ -310,15 +324,14 @@ class TestSeriesKernel:
         assert calls == (["irfft"] if name == "delta" else [])
 
     @settings(max_examples=40, deadline=None)
-    @given(_limb_series())
-    def test_square_matches_nested_loops(self, limbs):
-        n = len(limbs[0])
-        expected = _naive_square(limbs, n)
-        given_limbs = list(limbs)
-        out = coefficients._square(given_limbs, n)
-        assert given_limbs == []  # each input limb is freed once its digits are taken
-        assert _recombine(out).tolist() == expected
-        _assert_normalized(out)
+    @given(_digit_series())
+    def test_square_matches_nested_loops(self, digits):
+        n = len(digits[0])
+        w = coefficients._digit_bits(n)
+        expected = _naive_square(digits, n, w)
+        out = coefficients._square(digits, n, w)
+        assert _recombine(out, w, n).tolist() == expected
+        _assert_balanced(out, w)
 
     def test_square_keeps_the_spectrum_the_next_pair_shares(self, monkeypatch):
         # the 10 pairs of 4 digits, i ascending in even digit groups and
@@ -333,35 +346,41 @@ class TestSeriesKernel:
             monkeypatch.setattr(np.fft, name, counted)
         n = 300
         w = coefficients._digit_bits(n)
-        limbs = [np.arange(n) % 5, np.full(n, 1 << (3 * w - 32))]  # 4 digits
-        expected = _naive_square(limbs, n)
-        assert _recombine(coefficients._square(limbs, n)).tolist() == expected
+        digits = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3, np.full(n, -1)]
+        expected = _naive_square(digits, n, w)
+        assert _recombine(coefficients._square(digits, n, w), w, n).tolist() == expected
         assert calls == {"rfft": 10, "irfft": 10}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_square_of_the_shortest_series(self, n):
-        limbs = [np.array([-_INT64_MAX, _INT64_MAX, 3][:n]), np.array([7, -1, -(1 << 40)][:n])]
-        expected = _naive_square(limbs, n)
-        out = coefficients._square(limbs, n)
-        assert _recombine(out).tolist() == expected
-        _assert_normalized(out)
+        w = coefficients._digit_bits(n)
+        half = 1 << (w - 1)
+        digits = [np.array([-half, half, 3][:n]), np.array([7, -1, -half][:n]),
+                  np.array([half, half, half][:n])]
+        expected = _naive_square(digits, n, w)
+        out = coefficients._square(digits, n, w)
+        assert _recombine(out, w, n).tolist() == expected
+        _assert_balanced(out, w)
 
-    def test_square_of_the_zero_series(self):
-        out = coefficients._square([np.zeros(50, dtype=np.int64)] * 2, 50)
-        assert len(out) == 1 and out[0].tolist() == [0] * 50
+    def test_square_of_the_zero_series(self, monkeypatch):
+        w = coefficients._digit_bits(50)
+        assert coefficients._square([np.zeros(50, dtype=np.int64)] * 2, 50, w) == []
+        # the combine of no digits is the zero table, in int64
+        monkeypatch.setattr(coefficients, "_square", lambda digits, n, w: [])
+        values = coefficients._eta_values(coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], 50)
+        assert values.dtype == np.int64 and values.tolist() == [0] * 50
 
-    def test_square_guard_raises_past_float64(self, monkeypatch):
+    def test_square_guard_raises_past_float64(self):
         # one bit wider than the widest W whose exact digit products n 4^(W-1)
         # still fit float64's 53 bits; the width the error bound picks is far
         # narrower, and at one bit past it the rounding errors stay near 10^-3
         n = 300
         w = max(w for w in range(1, 30) if n * 4 ** (w - 1) < 1 << 53) + 1
         assert w > coefficients._digit_bits(n)
-        monkeypatch.setattr(coefficients, "_digit_bits", lambda m: w)
         rng = np.random.default_rng(3)
-        limbs = [rng.integers(-(1 << 62), 1 << 62, size=n) for _ in range(2)]
+        digits = [rng.integers(-(1 << (w - 1)), 1 << (w - 1), size=n) for _ in range(6)]
         with pytest.raises(VerificationError, match="is off an integer"):
-            coefficients._square(limbs, n)
+            coefficients._square(digits, n, w)
 
     @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
     def test_square_guard_at_a_quarter(self, monkeypatch, shift, raises):
@@ -375,25 +394,46 @@ class TestSeriesKernel:
             return x
 
         monkeypatch.setattr(np.fft, "irfft", perturbed)
-        limbs = [np.arange(-20, 20, dtype=np.int64) * 123457]
-        expected = _naive_square(limbs, 40)
+        w = coefficients._digit_bits(40)
+        digits = _emitted(np.arange(-20, 20) * 123457, w)
+        expected = _naive_square(digits, 40, w)
         if raises:
             with pytest.raises(VerificationError, match="is off an integer"):
-                coefficients._square(limbs, 40)
+                coefficients._square(digits, 40, w)
         else:
-            assert _recombine(coefficients._square(limbs, 40)).tolist() == expected
+            assert _recombine(coefficients._square(digits, 40, w), w, 40).tolist() == expected
 
     @settings(max_examples=25, deadline=None)
-    @given(_limb_series(), st.integers(min_value=2, max_value=29))
-    def test_digits_are_balanced_and_minimal(self, limbs, w):
-        value = _recombine(limbs).tolist()
-        digits = coefficients._digits(list(limbs), w)
-        total = [0] * len(value)
-        for i, d in enumerate(digits):
-            assert -(1 << (w - 1)) <= d.min() and d.max() < 1 << (w - 1)
-            total = [t + (int(x) << (w * i)) for t, x in zip(total, d.tolist())]
-        assert total == value
-        assert not digits or digits[-1].any()
+    @given(st.lists(st.one_of(st.sampled_from([-_INT64_MAX - 1, _INT64_MAX, -1, 0]),
+                              st.integers(-_INT64_MAX - 1, _INT64_MAX)), min_size=1, max_size=300),
+           st.integers(min_value=2, max_value=29))
+    def test_digits_are_balanced_and_minimal(self, values, w):
+        digits = _emitted(values, w)
+        _assert_balanced(digits, w)
+        assert _recombine(digits, w, len(values)).tolist() == values
+
+    def test_final_words_combine_into_exact_ints(self, monkeypatch):
+        # g = 62 // W digits make one int64 word; up to three words join top
+        # first into Python ints, and one word comes back as the int64 array itself
+        n = 6
+        w = coefficients._digit_bits(n)
+        g, half = 62 // w, 1 << (w - 1)
+        rng = np.random.default_rng(62)
+        for count in (g - 1, g, g + 1, 2 * g, 2 * g + 1):
+            mixed = rng.integers(-half, half + 1, size=(count, n))
+            mixed[:, 0] = -half  # every digit at the lower edge
+            mixed[:, 1] = half  # every digit at the upper edge
+            mixed[:, 2:4] = 0
+            mixed[g - 1::g, 2] = half  # every word at 2^(g W - 1)
+            mixed[g - 1::g, 3] = -half  # every word at -2^(g W - 1)
+            negative = -rng.integers(0, half + 1, size=(count, n))
+            negative[-1] = -half  # an all-negative series
+            for digits in (list(mixed), list(negative)):
+                monkeypatch.setattr(coefficients, "_square", lambda d, m, v, digits=digits: digits)
+                values = coefficients._eta_values(
+                    coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], n)
+                assert values.dtype == (np.int64 if count <= g else object)
+                assert values.tolist() == _recombine(digits, w, n).tolist()
 
     def test_transform_is_the_shortest_smooth_length(self):
         smooth = {2**a * 3**b * 5**c: a + 2 * b + 3 * c

@@ -27,8 +27,8 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 INVOCATIONS = [
     # coeffs: int64 storage (delta 100 and 300, 11a) and exact-integer storage
     # (delta 1400); delta is eta^6 squared twice by FFT products at every size,
-    # its square leaving in two 32-bit limbs at 100, 300 and 1400, and 11a runs
-    # one int64 limb of passes; then the file and cache routes
+    # its final digits making one int64 word at 100 and 300 and two at 1400,
+    # and 11a runs one int64 limb of passes; then the file and cache routes
     ["coeffs", "--form", "delta", "--nmax", "100", "--check"],
     ["coeffs", "--form", "delta", "--nmax", "300", "--check", "--json"],
     ["coeffs", "--form", "11a", "--nmax", "2000", "--check"],
