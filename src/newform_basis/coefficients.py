@@ -9,8 +9,8 @@ each other so they can cross-check:
   sparse by sparse.  For the level-11 form the rest run as shifted-add
   passes, one block of ``_PASS_BLOCK`` output rows at a time so that the
   block being written stays in a per-core L2 cache while the input streams
-  past.  Delta is that product eta^6 = (eta^3)^2 squared twice by ``_square``:
-  eta^12, then eta^24.
+  past.  Delta is that product eta^6 = (eta^3)^2 squared twice by
+  ``_product``: eta^12, then eta^24.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone by
   the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
   ``check_identities`` check: for composite n = p q with p = spf(n),
@@ -18,16 +18,16 @@ each other so they can cross-check:
   over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
 All stored coefficients are exact integers.  The sparse product and every
-pass run in exact int64.  ``_square`` takes and returns a series as balanced
-W-bit digit series, value = sum_i d_i 2^(W i), and squares it by real FFT
-products of digit pairs, at the width W that a stated float64 error bound
-keeps every rounding error below 1/4 for, checked again on every product;
-the rounded products carry into one int64 array that each output digit is
-taken off, and the final digits combine into int64 words and, when there is
-more than one, into exact Python ints.  The size checks
-(``check_identities`` and the loader's Deligne check) compare in float64
-only as a screen: every entry the screen does not clear is decided in exact
-integers.
+pass run in exact int64.  ``_product``, which delta's squarings and the dense
+count layers of ``waring_goldbach`` share, multiplies balanced W-bit digit
+series, value = sum_i d_i 2^(W i), by real FFT products of digit pairs at the
+width W that a stated float64 error bound keeps every rounding error below
+1/4 for, checked again on every product; the rounded products carry into one
+int64 array that each output digit is taken off, and ``_combine`` joins
+digits into int64 words and, past one, into exact Python ints.  The size
+checks (``check_identities`` and the loader's Deligne check) compare in
+float64 only as a screen: every entry the screen does not clear is decided in
+exact integers.
 
 Every table stores its values in one ndarray whose dtype the descriptor
 decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
@@ -361,8 +361,8 @@ def _transform(m: int) -> tuple[int, int]:
 
 
 def _digit_bits(n: int) -> int:
-    """Width W of the balanced digits |d| <= 2^(W-1) that ``_square`` takes and
-    returns a series of n terms in: the largest W with n 4^(W-1) (13 k + 3) <
+    """Width W of the balanced digits |d| <= 2^(W-1) that ``_product`` takes and
+    returns series of n terms in: the largest W with n 4^(W-1) (13 k + 3) <
     2^51, k from ``_transform(2 n - 1)``.
 
     Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the error of the FFT
@@ -380,10 +380,10 @@ def _digit_bits(n: int) -> int:
 
 
 def _emit(carry: np.ndarray, w: int) -> np.ndarray:
-    """Take the balanced low w bits d in [-2^(w-1), 2^(w-1)) off the int64
-    array ``carry`` in place, carry = (carry - d) / 2^w, and return d in the
-    smallest integer dtype that holds it.  Exact for every int64: carry +
-    2^(w-1) may wrap, but not in its low w bits."""
+    """Take the balanced low w bits d in [-2^(w-1), 2^(w-1)) off the int64 or
+    object array ``carry`` in place, carry = (carry - d) / 2^w, and return d
+    in the smallest integer dtype that holds it.  Exact for every int64: carry
+    + 2^(w-1) may wrap, but not in its low w bits."""
     half = 1 << (w - 1)
     d = carry + half
     d &= (1 << w) - 1
@@ -393,51 +393,52 @@ def _emit(carry: np.ndarray, w: int) -> np.ndarray:
     return d.astype(np.min_scalar_type(-half))
 
 
-def _square(digits: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
-    """The exact square, truncated to n terms, of the series sum_i digits[i]
-    2^(w i) given as digit series |d| <= 2^(w-1) of n terms, w =
-    ``_digit_bits(n)``; as balanced w-bit digit series, top zero digits
-    dropped, so a zero square is [].
+def _product(x: list[np.ndarray], y: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
+    """The exact product, truncated to n terms, of the series sum_i x[i]
+    2^(w i) and sum_j y[j] 2^(w j), each given as digit series |d| <= 2^(w-1)
+    of n terms, w = ``_digit_bits(n)``; as balanced w-bit digit series, top
+    zero digits dropped, so a zero product is [].  ``y is x`` squares.
 
-    Digit group s, sum_{i+j=s} d_i d_j, takes one real FFT product per pair
-    i <= j, its i ascending in even groups and descending in odd ones, so that
-    each pair shares a digit with the next and that digit's spectrum is kept
-    for it: at most three spectrum-sized arrays are alive at a time.  A
-    product more than 1/4 off an integer raises VerificationError; otherwise
-    it rounds into one carried int64 array, and once group s is in, ``_emit``
-    takes output digit s off the carry.  A rounded product is below 2^51, so
-    the carry stays far below 2^63.
+    Digit group s, sum_{i+j=s} x_i y_j, takes one real FFT product per pair
+    (i, j), i <= j in a square, its i ascending in even groups and descending
+    in odd ones, so that each pair shares a digit with the next and that
+    digit's spectrum is kept for it: at most three spectrum-sized arrays are
+    alive at a time.  A product more than 1/4 off an integer raises
+    VerificationError; otherwise it rounds into one carried int64 array, and
+    once group s is in, ``_emit`` takes output digit s off the carry.  A
+    rounded product is below 2^51, so the carry stays far below 2^63.
     """
     size, _ = _transform(2 * n - 1)
-    d = len(digits)
-    pairs = [(i, s - i) for s in range(2 * d - 1)
-             for i in range(max(0, s - d + 1), s // 2 + 1)[::1 - 2 * (s % 2)]]
+    square, top = y is x, len(x) + len(y) - 1
+    pairs = [(i, s - i) for s in range(top) for i in range(
+        max(0, s - len(y) + 1), min(s // 2 if square else s, len(x) - 1) + 1)[::1 - 2 * (s % 2)]]
+    keys = [(i, j if square else ~j) for i, j in pairs]  # spectrum keys: y_j is ~j unless y is x
     kept = kept_spectrum = None  # the digit shared with the next pair, and its spectrum
     carry, out, k = np.zeros(n, dtype=np.int64), [], 0
-    while len(out) < 2 * d - 1 or carry.any():
+    while len(out) < top or carry.any():
         while k < len(pairs) and sum(pairs[k]) == len(out):
-            i, j = pairs[k]
+            (i, j), (u, v) = pairs[k], keys[k]
             k += 1
-            a = kept_spectrum if kept == i else np.fft.rfft(digits[i], size)
-            b = a if j == i else kept_spectrum if kept == j else np.fft.rfft(digits[j], size)
-            kept = min({i, j}.intersection(pairs[k] if k < len(pairs) else ()), default=None)
+            a = kept_spectrum if kept == u else np.fft.rfft(x[i], size)
+            b = a if v == u else kept_spectrum if kept == v else np.fft.rfft(y[j], size)
+            kept = min({u, v}.intersection(keys[k] if k < len(keys) else ()), default=None)
             if kept is None:
                 f, kept_spectrum = a, None
                 f *= b
-            elif i == j:
+            elif u == v:
                 f, kept_spectrum = a * a, a
             else:  # the product overwrites the spectrum the next pair does not need
-                f, kept_spectrum = (b, a) if kept == i else (a, b)
+                f, kept_spectrum = (b, a) if kept == u else (a, b)
                 f *= kept_spectrum
             del a, b
-            x = np.fft.irfft(f, size)[:n]
+            z = np.fft.irfft(f, size)[:n]
             del f
-            r = np.rint(x)
-            x -= r
-            if np.abs(x, out=x).max() >= 0.25:
+            r = np.rint(z)
+            z -= r
+            if np.abs(z, out=z).max() >= 0.25:
                 raise VerificationError(f"FFT product of digits {i} and {j} is off an integer")
-            del x
-            if i != j:
+            del z
+            if square and i != j:
                 r *= 2  # d_i d_j + d_j d_i
             carry += r.astype(np.int64)
             del r
@@ -445,6 +446,25 @@ def _square(digits: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
     while out and not out[-1].any():
         out.pop()
     return out
+
+
+def _digits(value: np.ndarray, w: int) -> list[np.ndarray]:
+    """The digits ``_emit`` takes off the int64 or object ``value``, in place, until it is 0."""
+    return [_emit(value, w) for _ in iter(value.any, False)]
+
+
+def _combine(digits: list[np.ndarray], w: int, n: int) -> np.ndarray:
+    """The n exact integers sum_i digits[i] 2^(w i): int64 words of 62 // w digits,
+    |word| < 2^62, joined top word first into exact Python ints past one word."""
+    g = 62 // w  # digits per word
+    words = [sum(d.astype(np.int64) << (w * t) for t, d in enumerate(digits[i:i + g]))
+             for i in range(0, len(digits), g)] or [np.zeros(n, dtype=np.int64)]
+    value = words.pop()
+    while words:
+        value = value.astype(object, copy=False)
+        value <<= g * w
+        value += words.pop()
+    return value
 
 
 def _eta_values(factors, n_max: int) -> np.ndarray:
@@ -455,11 +475,9 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
     as one shifted-add pass, exact in int64 by the bound max|x| * sum|w| and
     the weights +-1, both checked before the first pass (ValueError), with
     ``_PASS_BLOCK`` rows at a time, a block that stays in L2 while every term
-    adds into it.  For s > 0 ``_emit`` splits the product into balanced
-    W-bit digit series, W = ``_digit_bits(n_max)``, that ``_square`` squares
-    s times; the final digits combine 62 // W at a time into int64 words,
-    |word| < 2^62, which join into exact Python ints, top word first, when
-    there is more than one.
+    adds into it.  For s > 0 ``_digits`` splits the product into balanced
+    W-bit digit series, W = ``_digit_bits(n_max)``, that ``_product`` squares
+    s times, and ``_combine`` joins the final digits into exact integers.
     """
     pairs, squarings = factors
     first, second, *rest = _sparse_series(pairs, n_max - 1)
@@ -474,22 +492,12 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
         value, spare = spare, value
     if not squarings:
         return value
-    w, digits = _digit_bits(n_max), []
-    while value.any():
-        digits.append(_emit(value, w))
+    w = _digit_bits(n_max)
+    digits = _digits(value, w)
     del value, spare
     for _ in range(squarings):
-        digits = _square(digits, n_max, w)
-    g = 62 // w  # digits per word
-    words = [sum(d.astype(np.int64) << (w * t) for t, d in enumerate(digits[i:i + g]))
-             for i in range(0, len(digits), g)] or [np.zeros(n_max, dtype=np.int64)]
-    value = words.pop()
-    if words:
-        value = value.astype(object)
-        while words:
-            value <<= g * w
-            value += words.pop()
-    return value
+        digits = _product(digits, digits, n_max, w)
+    return _combine(digits, w, n_max)
 
 
 def _check_table_size(n_max: int) -> None:
@@ -511,7 +519,7 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     (512 KB) at a time, a block that stays in a per-core L2 cache while all
     the series' terms add into it.  Delta splits eta^6 into balanced digit
     series, of a width that a stated error bound sizes, and squares them twice
-    by ``_square``, exact FFT products that a guard on every product checks
+    by ``_product``, exact FFT products that a guard on every product checks
     (VerificationError); the final digits combine into exact integers.
 
     Rejects non-builtin sources (load the prime table and use hecke_extend

@@ -616,7 +616,9 @@ class SearchDecomposer:
         return Decomposition(Z, tuple(sorted(terms)), ROUTE_SEARCH, ell_max)
 
     def decompose(self, Z: int, ell_max: int = SEARCH_ELL_DEFAULT) -> Decomposition | None:
-        """Shortest-found multiset representation with at most ell_max terms."""
+        """Shortest-found multiset representation with at most ell_max >= 0 terms."""
+        if ell_max < 0:
+            raise ValueError(f"ell_max must be >= 0, got {ell_max}")
         d = self._search(Z, ell_max)
         return None if d is None else _verified(d, self.table)
 

@@ -4,17 +4,18 @@ truncated singular series with its main-term companion.
 Counting meets in the middle over ordered tuples: the layer T_j[v] holds the
 number of ordered j-tuples of allowed prime e-th powers summing to v, and the
 ordered representation count is sum_v T_ceil(s/2)[Z - v] * T_floor(s/2)[v],
-one dot product of the two half layers.  A layer is held as its support (the
-distinct sums <= Z with their counts, built from pair sums) while the pair
-list is no longer than one dense layer of Z + 1 cells, and as Z + 1 cells
-from the first step where it would be.  Eight cubes never allocate an array
-of Z + 1 cells; Goldbach-type counts (e = 1 over every prime) go dense at the
-first step, since pi(Z)^2 > Z + 1 from Z = 5 on.  Layers and that product run
-in int64 and escalate to exact Python integers if a bound check ever finds
-int64 headroom too small.  The singular series runs its exponential sums only
-at prime powers q = p^m, with exact integer residue arithmetic on arrays
-(counting power residues, then one FFT of length q); every composite q takes
-the product of its prime-power local factors, since the q-term is
+one dot product of the two half layers.  Every layer is held as its support,
+the distinct sums <= Z with their counts: a step takes pair sums while the
+pair list is no longer than Z + 1, and past that one exact FFT product
+(``coefficients._product``) with the indicator of the allowed powers.  Eight
+cubes never allocate an array of Z + 1 cells; Goldbach-type counts (e = 1
+over every prime) take the product from the first step, since pi(Z)^2 > Z + 1
+from Z = 5 on.  Pair sums and the dot product escalate from int64 to exact
+Python integers if a bound check finds int64 headroom too small; the
+product's digits hold any count.  The singular series runs its exponential
+sums only at prime powers q = p^m, with exact integer residue arithmetic on
+arrays (counting power residues, then one FFT of length q); every composite q
+takes the product of its prime-power local factors, since the q-term is
 multiplicative in q by the Chinese remainder theorem.  The q-terms are
 accumulated with compensated summation.
 
@@ -34,12 +35,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .coefficients import _combine, _digit_bits, _digits, _product
 from .errors import MemoryGuardError, VerificationError
 from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
-_MAX_DP_CELLS = 2**25  # per layer; at most two int64 layers live at once
+# Largest Z + 1 of a count: a product step raised RSS by 77-81 B a cell at Z <= 10^6, and
+# by 139-199 B at 3 * 10^5 once the dot needs Python ints (s = 6..12): 0.7 and 1.7 GB here.
+_MAX_DP_CELLS = 2**23
 _INT64_GUARD = 2**62  # escalate a layer or the final product to exact big ints past this
 
 
@@ -176,22 +180,16 @@ def count_representations(
 
     ``allowed`` defaults to every prime.  Meets in the middle: with T_j[v] the
     number of ordered j-tuples of allowed powers summing to v, the count is
-    sum_v T_hi[Z - v] * T_lo[v] over the support of T_lo, with lo = floor(s/2)
-    and hi = s - lo, one dot product.  Layer 1 is the (distinct) allowed
-    powers with count 1, held as its support: the ascending distinct sums
-    <= Z with their counts.  Each further layer comes from pair sums
-    (``_pair_sums``) while support size x power count is at most Z + 1, one
-    dense layer; from the first step where it is larger the layer is spread
-    over Z + 1 cells, and every further layer is one shifted add per power,
-    so the build stays dense.  The sparse side allocates no array of Z + 1
-    cells and no pair list longer than Z + 1; the dense side keeps at most two
-    layers of Z + 1 cells alive, since T_lo is the source of the last one.
-    The product reads T_hi at Z - v by index when T_hi is dense and by
-    ``searchsorted`` when it is sparse.  A layer, and the final product, runs
-    in int64 only when a bound check shows that no cell or partial sum can
-    pass ``_INT64_GUARD``; otherwise it escalates to exact Python integers, so
-    the count is exact for every s and Z.  Z + 1 above ``_MAX_DP_CELLS``
-    raises ``MemoryGuardError`` before anything is allocated.
+    sum_v T_hi[Z - v] * T_lo[v], lo = floor(s/2) and hi = s - lo, one
+    ``searchsorted`` dot product over the support of T_lo.  Each layer is its
+    support, the ascending sums <= Z with their counts.  A step with at most
+    Z + 1 pairs (support x powers) takes pair sums (``_pair_sums``); a longer
+    one multiplies the layer, spread over Z + 1 cells, by the indicator of the
+    powers (``coefficients._product``).  Pair sums and the dot run in int64
+    only while a bound check shows that nothing can pass ``_INT64_GUARD``,
+    else in exact Python integers, so the count is exact for every s and Z.
+    Z + 1 above ``_MAX_DP_CELLS`` raises ``MemoryGuardError`` before anything
+    is allocated.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -200,42 +198,33 @@ def count_representations(
     pool, n = _allowed_powers(Z, e, allowed)
     if not n:
         return 0
-    powers = pool.powers[:n]
-    w = np.asarray(powers, dtype=np.int64)
-    keys, T = w, np.ones(n, dtype=np.int64)  # T_1 as its support; keys is None once dense
+    w = np.asarray(pool.powers[:n], dtype=np.int64)
+    keys, T = w, np.ones(n, dtype=np.int64)  # T_1 as its support
     lo = s // 2  # T_lo is kept for the product; the loop builds up to T_(s - lo)
-    low = (keys, T) if lo == 1 else (np.zeros(1, np.int64), np.ones(1, np.int64))  # T_0 for s = 1
+    lo_keys, lo_T = (keys, T) if lo == 1 else (np.zeros(1, np.int64), T[:1])  # T_0 for s = 1
     for j in range(2, s - lo + 1):
-        if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
-            T = T.astype(object)  # exact big ints once int64 headroom runs out
-        if keys is not None and len(keys) * n <= Z + 1:
+        if len(keys) * n <= Z + 1:
+            if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
+                T = T.astype(object)  # exact big ints once int64 headroom runs out
             keys, T = _pair_sums(keys, T, w, Z)
-            if not len(keys):  # no j-tuple fits under Z
-                return 0
-        else:
-            if keys is not None:  # the first step past one dense layer
-                D = np.zeros(Z + 1, dtype=T.dtype)
-                D[keys] = T
-                keys, T = None, D
-            U = np.zeros(Z + 1, dtype=T.dtype)
-            for x in powers:
-                U[x:] += T[: Z + 1 - x]
-            T = U
+        else:  # spread over Z + 1 cells, times the indicator of the powers
+            layer, ind = np.zeros(Z + 1, T.dtype), np.zeros(Z + 1, np.int8)
+            layer[keys], ind[w] = T, 1
+            bits = _digit_bits(Z + 1)
+            layer = _digits(layer, bits)  # its digit series; the cells go
+            T = _combine(_product(layer, [ind], Z + 1, bits), bits, Z + 1)
+            keys = np.flatnonzero(T)
+            T = T[keys]
+        if not len(keys):  # no j-tuple fits under Z
+            return 0
         if j == lo:
-            low = (keys, T)
-    lo_keys, lo_T = low
-    if lo_keys is None:  # both dense
-        hi, lo_v = T, lo_T[::-1]  # lo_v[v] = T_lo[Z - v]
-    elif keys is None:
-        hi, lo_v = T[Z - lo_keys], lo_T
-    else:
-        want = Z - lo_keys[::-1]  # ascending
-        at = keys.searchsorted(want)
-        hit = keys.take(at, mode="clip") == want
-        hi, lo_v = T[at[hit]], lo_T[::-1][hit]
+            lo_keys, lo_T = keys, T
+    want = Z - lo_keys[::-1]  # ascending
+    at = keys.searchsorted(want)
+    hit = keys.take(at, mode="clip") == want
+    hi, lo_v = T[at[hit]], lo_T[::-1][hit]
     # partial sums stay <= max(T_hi) * sum(T_lo), and sum(T_lo) <= n^lo, max(T_lo) * its cells
-    size = Z + 1 if lo_keys is None else len(lo_keys)
-    if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * size) > _INT64_GUARD:
+    if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * len(lo_T)) > _INT64_GUARD:
         hi, lo_v = hi.astype(object, copy=False), lo_v.astype(object, copy=False)
     return int(np.dot(hi, lo_v))
 

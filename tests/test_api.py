@@ -43,7 +43,7 @@ def parameters(fn) -> list[str]:
     (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
     (primes.spf_blocks, ["spf"]),
     (primes.divisor_counts, ["spf"]),
-    (coefficients._square, ["digits", "n", "w"]),
+    (coefficients._product, ["x", "y", "n", "w"]),
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
@@ -65,6 +65,12 @@ def test_residue_tier_is_gone():
         assert not hasattr(coefficients, name)
     assert not hasattr(primes, "next_prime_below")
     assert not hasattr(nb, "next_prime_below") and "next_prime_below" not in nb.__all__
+
+
+def test_square_is_gone():
+    # delta's squarings and the dense count layers share one exact FFT product,
+    # and a count holds every layer as its support
+    assert not hasattr(coefficients, "_square")
 
 
 def test_sampled_pairs_are_gone():

@@ -224,3 +224,10 @@ class TestUsage:
 
     def test_bad_value_exits_2(self, capsys):
         assert main(["wg", "count", "--Z", "-5", "--s", "2", "--e", "1"]) == 2
+
+    @pytest.mark.parametrize("Z", ["0", "252"])
+    def test_negative_lmax_exits_2(self, capsys, Z):
+        rc, _, err = run(capsys, ["decompose", "--form", "delta", "--Z", Z,
+                                  "--nmax", "100", "--lmax", "-1"])
+        assert rc == 2
+        assert err == "usage error: ell_max must be >= 0, got -1\n"

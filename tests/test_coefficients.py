@@ -150,15 +150,19 @@ def _digest(values):
     return hashlib.sha256(values.astype("<i8").tobytes()).hexdigest()
 
 
-def _naive_square(digits, n, w):
-    """The square of the series sum_i digits[i] 2^(w i), truncated to n terms,
-    by nested loops over exact Python ints."""
-    value = _recombine(digits, w, n).tolist()
+def _naive_product(x, y, n, w):
+    """The product of the series sum_i x[i] 2^(w i) and sum_j y[j] 2^(w j),
+    truncated to n terms, by nested loops over exact Python ints."""
+    xs, ys = _recombine(x, w, n).tolist(), _recombine(y, w, n).tolist()
     out = [0] * n
-    for i, a in enumerate(value):
+    for i, a in enumerate(xs):
         for j in range(n - i):
-            out[i + j] += a * value[j]
+            out[i + j] += a * ys[j]
     return out
+
+
+def _naive_square(digits, n, w):
+    return _naive_product(digits, digits, n, w)
 
 
 def _emitted(values, w):
@@ -170,19 +174,41 @@ def _emitted(values, w):
     return digits
 
 
+def _shift_irfft(monkeypatch, shift):
+    """Push entry 1 of every inverse FFT ``shift`` off its value."""
+    irfft = np.fft.irfft
+
+    def perturbed(*args):
+        x = irfft(*args)
+        x[1] += shift
+        return x
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+
+
 def _assert_balanced(digits, w):
     for d in digits:
         assert -(1 << (w - 1)) <= d.min() and d.max() < 1 << (w - 1)
     assert not digits or digits[-1].any()
 
 
-@st.composite
-def _digit_series(draw):
-    """Digit series |d| <= 2^(W-1) of n terms, W = _digit_bits(n), edges included."""
-    n = draw(st.integers(min_value=1, max_value=300))
+def _draw_digits(draw, n):
+    """1-4 digit series |d| <= 2^(W-1) of n terms, W = _digit_bits(n), edges included."""
     half = 1 << (coefficients._digit_bits(n) - 1)
     digit = st.one_of(st.sampled_from([-half, half, 0]), st.integers(-half, half))
     return [draw(arrays(np.int64, n, elements=digit)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def _digit_series(draw):
+    return _draw_digits(draw, draw(st.integers(min_value=1, max_value=300)))
+
+
+@st.composite
+def _digit_series_pair(draw):
+    """Two factors of the same n terms, each with its own count of 1-4 digit series."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    return _draw_digits(draw, n), _draw_digits(draw, n)
 
 
 def _balanced_limbs(values, base):
@@ -329,7 +355,7 @@ class TestSeriesKernel:
         n = len(digits[0])
         w = coefficients._digit_bits(n)
         expected = _naive_square(digits, n, w)
-        out = coefficients._square(digits, n, w)
+        out = coefficients._product(digits, digits, n, w)
         assert _recombine(out, w, n).tolist() == expected
         _assert_balanced(out, w)
 
@@ -348,7 +374,7 @@ class TestSeriesKernel:
         w = coefficients._digit_bits(n)
         digits = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3, np.full(n, -1)]
         expected = _naive_square(digits, n, w)
-        assert _recombine(coefficients._square(digits, n, w), w, n).tolist() == expected
+        assert _recombine(coefficients._product(digits, digits, n, w), w, n).tolist() == expected
         assert calls == {"rfft": 10, "irfft": 10}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -358,15 +384,16 @@ class TestSeriesKernel:
         digits = [np.array([-half, half, 3][:n]), np.array([7, -1, -half][:n]),
                   np.array([half, half, half][:n])]
         expected = _naive_square(digits, n, w)
-        out = coefficients._square(digits, n, w)
+        out = coefficients._product(digits, digits, n, w)
         assert _recombine(out, w, n).tolist() == expected
         _assert_balanced(out, w)
 
     def test_square_of_the_zero_series(self, monkeypatch):
         w = coefficients._digit_bits(50)
-        assert coefficients._square([np.zeros(50, dtype=np.int64)] * 2, 50, w) == []
+        zero = [np.zeros(50, dtype=np.int64)] * 2
+        assert coefficients._product(zero, zero, 50, w) == []
         # the combine of no digits is the zero table, in int64
-        monkeypatch.setattr(coefficients, "_square", lambda digits, n, w: [])
+        monkeypatch.setattr(coefficients, "_product", lambda x, y, n, w: [])
         values = coefficients._eta_values(coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], 50)
         assert values.dtype == np.int64 and values.tolist() == [0] * 50
 
@@ -380,28 +407,75 @@ class TestSeriesKernel:
         rng = np.random.default_rng(3)
         digits = [rng.integers(-(1 << (w - 1)), 1 << (w - 1), size=n) for _ in range(6)]
         with pytest.raises(VerificationError, match="is off an integer"):
-            coefficients._square(digits, n, w)
+            coefficients._product(digits, digits, n, w)
 
     @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
     def test_square_guard_at_a_quarter(self, monkeypatch, shift, raises):
         # one entry of every FFT product pushed off its integer: below 1/4 it
         # still rounds to the exact square, from 1/4 on the guard refuses it
-        irfft = np.fft.irfft
-
-        def perturbed(*args):
-            x = irfft(*args)
-            x[1] += shift
-            return x
-
-        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        _shift_irfft(monkeypatch, shift)
         w = coefficients._digit_bits(40)
         digits = _emitted(np.arange(-20, 20) * 123457, w)
         expected = _naive_square(digits, 40, w)
         if raises:
             with pytest.raises(VerificationError, match="is off an integer"):
-                coefficients._square(digits, 40, w)
+                coefficients._product(digits, digits, 40, w)
         else:
-            assert _recombine(coefficients._square(digits, 40, w), w, 40).tolist() == expected
+            assert _recombine(coefficients._product(digits, digits, 40, w), w, 40).tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(_digit_series_pair())
+    def test_product_matches_nested_loops(self, factors):
+        x, y = factors
+        n = len(x[0])
+        w = coefficients._digit_bits(n)
+        out = coefficients._product(x, y, n, w)
+        assert _recombine(out, w, n).tolist() == _naive_product(x, y, n, w)
+        _assert_balanced(out, w)
+
+    @pytest.mark.parametrize("digits", [1, 3])
+    def test_layer_times_indicator_keeps_the_indicator_spectrum(self, monkeypatch, digits):
+        # a count step: every digit of a D-digit layer pairs with the one digit
+        # of the indicator, whose spectrum is kept for all of them: D + 1
+        # forward transforms and D inverse ones
+        calls = {"rfft": 0, "irfft": 0}
+        for name, transform in [(name, getattr(np.fft, name)) for name in calls]:
+            def counted(*args, name=name, transform=transform):
+                calls[name] += 1
+                return transform(*args)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        n = 300
+        w = coefficients._digit_bits(n)
+        layer = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3][:digits]
+        indicator = [(np.arange(n) % 7 == 3).astype(np.int8)]
+        out = coefficients._product(layer, indicator, n, w)
+        assert _recombine(out, w, n).tolist() == _naive_product(layer, indicator, n, w)
+        assert calls == {"rfft": digits + 1, "irfft": digits}
+
+    @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
+    def test_product_guard_at_a_quarter(self, monkeypatch, shift, raises):
+        # the square's guard on two different factors of 2 and 3 digits
+        _shift_irfft(monkeypatch, shift)
+        w = coefficients._digit_bits(40)
+        x = _emitted(np.arange(-20, 20) * 123457, w)
+        y = _emitted(np.arange(40) ** 11 - 7, w)
+        assert (len(x), len(y)) == (2, 3)
+        if raises:
+            with pytest.raises(VerificationError, match="is off an integer"):
+                coefficients._product(x, y, 40, w)
+        else:
+            assert _recombine(coefficients._product(x, y, 40, w), w, 40).tolist() == (
+                _naive_product(x, y, 40, w))
+
+    def test_zero_factor_gives_no_digits(self):
+        n = 50
+        w = coefficients._digit_bits(n)
+        y = _emitted(np.arange(n) ** 3 - 25, w)
+        zero = [np.zeros(n, dtype=np.int64)]
+        for x in (zero, []):
+            assert coefficients._product(x, y, n, w) == []
+            assert coefficients._product(y, x, n, w) == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([-_INT64_MAX - 1, _INT64_MAX, -1, 0]),
@@ -429,7 +503,7 @@ class TestSeriesKernel:
             negative = -rng.integers(0, half + 1, size=(count, n))
             negative[-1] = -half  # an all-negative series
             for digits in (list(mixed), list(negative)):
-                monkeypatch.setattr(coefficients, "_square", lambda d, m, v, digits=digits: digits)
+                monkeypatch.setattr(coefficients, "_product", lambda x, y, m, v, digits=digits: digits)
                 values = coefficients._eta_values(
                     coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], n)
                 assert values.dtype == (np.int64 if count <= g else object)

@@ -282,6 +282,12 @@ class TestSearch:
         assert sd.decompose(9, 20).terms == ((1, 9),)
         assert sd.decompose(-1, 20) is None
 
+    @pytest.mark.parametrize("Z", [0, 5, -5])
+    def test_negative_term_bound_is_a_usage_error(self, delta_searcher, Z):
+        # refused before any search: not a failed re-sum, not "nothing found"
+        with pytest.raises(ValueError, match="ell_max must be >= 0, got -1"):
+            delta_searcher.decompose(Z, -1)
+
 
 def _first_half(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[int]:
     """The rows _meet probes for Z, by definition: every value, or the window of h1-sums."""

@@ -104,9 +104,9 @@ class TestCounts:
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_escalation_at_the_final_product_only(self, monkeypatch, s):
-        # s = 2 builds no layer; for s = 3, 4 the one layer is built from T_1,
-        # whose cells are 1, and a guard of n passes its check (max(T) > guard // n)
-        # while the product's bound exceeds it
+        # s = 2 builds no layer; for s = 3, 4 the one layer T_2 comes from the
+        # FFT product (n^2 > Z + 1 here), whose digits hold any count, so a
+        # guard of n holds only the final product's bound, which exceeds it
         Zs = range(20, 200, 3)
         baseline = [count_representations(Z, s, 1) for Z in Zs]
         dots = []
@@ -146,8 +146,9 @@ class TestCounts:
 
 
 class TestSparseLayers:
-    """Layers held as supports (pair sums) until a pair list would pass one
-    dense layer of Z + 1 cells, then dense shifted adds."""
+    """Every layer held as its support: a step takes pair sums while its pair
+    list is at most Z + 1 long, and one exact FFT product of the layer spread
+    over Z + 1 cells with the indicator of the powers once it would be longer."""
 
     @staticmethod
     def record_pair_steps(monkeypatch) -> list[tuple[int, np.dtype]]:
@@ -160,13 +161,19 @@ class TestSparseLayers:
 
     def test_build_crosses_from_pair_sums_to_dense(self, monkeypatch):
         # eight squares to 2000: T_2 (14 x 14 pairs) and T_3 (75 x 14) come from
-        # pair sums, T_4 (at least 2001 pairs) from the dense loop
+        # pair sums, T_4 (at least 2001 pairs) from the FFT product
         table = naive_ordered_counts(2000, 8, 2, primes_up_to(2000))
         for Z in range(1, 2001):
             assert count_representations(Z, 8, 2) == table[Z], Z
         steps = self.record_pair_steps(monkeypatch)
         count_representations(2000, 8, 2)
         assert [size for size, _ in steps] == [14, 75]
+        # a guard of 4 escalates both pair-sum layers to Python ints, which
+        # the product step takes apart into digits
+        steps.clear()
+        monkeypatch.setattr(waring_goldbach, "_INT64_GUARD", 4)
+        assert count_representations(2000, 8, 2) == table[2000]
+        assert steps == [(14, np.dtype(object)), (75, np.dtype(object))]
 
     @pytest.mark.parametrize("e, z_max", [(2, 700), (3, 3000)])
     @pytest.mark.parametrize("s", range(1, 9))
@@ -174,6 +181,21 @@ class TestSparseLayers:
         table = naive_ordered_counts(z_max, s, e, primes_up_to(z_max))
         for Z in range(1, z_max + 1, 3):
             assert count_representations(Z, s, e) == table[Z], Z
+
+    def test_dense_count_matches_a_sieve(self):
+        # ternary Goldbach: T_2 comes from one FFT product at once (pi(Z)^2 >
+        # Z + 1).  The oracle sieves on its own and, for each p1, counts the
+        # p2 with Z - p1 - p2 prime
+        Z = 10**5 + 1
+        flags = np.ones(Z + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(Z) + 1):
+            if flags[p]:
+                flags[p * p::p] = False
+        ps = np.flatnonzero(flags)
+        expected = sum(int(np.count_nonzero(flags[Z - p - ps[ps <= Z - p]])) for p in ps.tolist())
+        assert expected == 11_596_623
+        assert count_representations(Z, 3, 1) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=6),
