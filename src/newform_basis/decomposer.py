@@ -371,12 +371,14 @@ def _splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[i
     """Pairs (s1, s2) in firsts x sums2 with |s1 + s2 - Z| <= width, grouped by total.
 
     Walks ``_probe``; each group keeps its first CANDIDATE_CAP pairs in the
-    order of firsts and then s2.  At width 0 the walk stops after the chunk
-    that fills the group of Z.  Each chunk's probe searches only its own
-    slice of sums2, so ascending firsts cost cache-resident searches; a
-    self-join walks only half of its rows, through ``_self_splits``.
+    order of firsts and then s2.  The walk stops after the row that fills
+    the last of the 2 width + 1 groups, when no later row can change one.
+    Each chunk's probe searches only its own slice of sums2, so ascending
+    firsts cost cache-resident searches; a self-join walks only half of its
+    rows, through ``_self_splits``.
     """
     groups: dict[int, list[tuple[int, int]]] = {}
+    unfilled = 2 * width + 1
     for hits, starts in _probe(firsts, sums2, Z, width):
         stops = sums2.searchsorted(np.asarray((Z + width) - hits, np.int64), "right")
         for s1, start, stop in zip(hits.tolist(), starts.tolist(), stops.tolist()):
@@ -384,8 +386,9 @@ def _splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[i
                 group = groups.setdefault(s1 + s2, [])
                 if len(group) < CANDIDATE_CAP:
                     group.append((s1, s2))
-        if not width and len(groups.get(Z, ())) == CANDIDATE_CAP:
-            break
+                    unfilled -= len(group) == CANDIDATE_CAP
+            if not unfilled:
+                return groups
     return groups
 
 
@@ -466,21 +469,24 @@ class SearchDecomposer:
     ``_self_meet``: the splits of a total are symmetric, so it walks only the
     rows s1 <= Z // 2, sorting their keys Z - s1 piece by piece together with
     the slice of the table they span in one buffer of 2 PROBE_CHUNK entries,
-    with no binary search per row, and mirrors the rest.  The band join and
+    with no binary search per row, and mirrors the rest.  A target with
+    |Z| <= BAND_LIMIT reads, at every depth, a band of the splits of every
+    such total, joined once per half-depth combination.  The band joins and
     the cross meets (h1 != h2) are one collector, ``_splits``, over the
     chunked ``_probe``, each chunk searching only the slice of the far denser
-    second half its windows can reach, which stays in cache; at h1 = h2 the
-    band likewise probes only half its rows, through ``_self_splits``.  A
-    meet holds at most one chunk or one merge buffer of temporaries beside
+    second half its windows can reach, which stays in cache; at h1 = h2 >= 2
+    the band likewise probes only half its rows, through ``_self_splits``.
+    A meet holds at most one chunk or one merge buffer of temporaries beside
     the tables.
 
     Ties break to the lexicographically smallest index list among the first
-    CANDIDATE_CAP splits Z = s1 + s2 the meet finds (those of every
-    |Z| <= BAND_LIMIT are precomputed once), each half's index tuple rebuilt
-    from the tables by the smallest-first-index descent of ``_lexmin``.  A
-    miss within the depth ceiling falls back to the exact a(1) / a(n_f)
-    padding construction, and only budget exhaustion yields None (never a
-    claim of impossibility).
+    CANDIDATE_CAP splits Z = s1 + s2 the meet finds, each half's index tuple
+    rebuilt from the tables by the smallest-first-index descent of
+    ``_lexmin``: each level searches the pool in doubling chunks from the
+    previous level's index and stops at its first hit.  A miss within the
+    depth ceiling falls back to the exact a(1) / a(n_f) padding
+    construction, and only budget exhaustion yields None (never a claim of
+    impossibility).
     """
 
     MAX_MEET_DEPTH = 8
@@ -532,21 +538,40 @@ class SearchDecomposer:
     def _half_table(self, h: int) -> np.ndarray:
         return self._sums(h, self._pool(h))
 
+    def _first(self, s: int, r: int, K: int, start: int) -> int:
+        """The smallest i >= start with s - a(i + 1) an r-sum over 1..K.
+
+        Searches the pool values from start on in doubling chunks (16, 32,
+        ...) and stops at the first chunk with a hit.
+        """
+        rest, vals = self._sums(r, K), self._ints[:K]
+        width = 16
+        while start < K:
+            comps = s - vals[start:start + width]
+            hit = rest.take(np.searchsorted(rest, comps), mode="clip") == comps
+            if hit.any():
+                return start + int(np.argmax(hit))
+            start += width
+            width *= 2
+        raise ValueError(f"s = {s} is not a(i) plus a sum of {r} values over 1..{K}")
+
     def _lexmin(self, s: int, h: int, K: int) -> tuple[int, ...]:
         """Lexicographically smallest non-decreasing index h-tuple over 1..K summing to s.
 
         s must be an h-sum over 1..K.  The tuple's smallest index is the first
-        i with s - a(i) an (h-1)-sum over 1..K, and the rest of the tuple is
-        the same descent from s - a(i), down to the first index of a value.
+        i with s - a(i) an (h-1)-sum over 1..K, found by ``_first``'s
+        doubling-chunk search, and the rest of the tuple is the same descent
+        from s - a(i), down to the first index of a value.  Each level's
+        search starts at the previous level's index, so the tuple is
+        non-decreasing: a smaller index j at a later level would make s - a(j)
+        a sum one level up, against that level's minimality.
         """
         head: list[int] = []
-        vals = self._ints[:K]
+        i = 0
         for r in range(h - 1, 0, -1):
-            rest = self._sums(r, K)
-            comps = s - vals
-            i = int(np.argmax(rest.take(np.searchsorted(rest, comps), mode="clip") == comps))
+            i = self._first(s, r, K, i)
             head.append(i + 1)
-            s -= int(vals[i])
+            s -= int(self._ints[i])
         return (*head, self._value_first_index[s])
 
     def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
@@ -554,25 +579,25 @@ class SearchDecomposer:
 
         The first half is every a(n) in index order at h1 = 1, else the
         ascending h1-sums, cut to the rows whose complement Z - s1 lies in the
-        h2-sums' range.  At h1 = h2 >= 2 the halves are one table, so
+        h2-sums' range.  A target with |Z| <= BAND_LIMIT reads the band at
+        every depth.  At h1 = h2 >= 2 the halves are one table, so
         ``_self_meet`` merges the rows s1 <= Z // 2 with it and mirrors the
         rest.  The cross meets take ``_splits`` at width 0, one search per row
         in a far denser second half: on the 2 + 3 meet of a 6-sum target on
         the weight-12 table to 1000, 1.5·10^5 rows against a 6·10^6-entry
         span of the 3-sums took 10-17 ms by search and 16-28 ms by merge.
         The h1 = 1 rows are unsorted and repeat values, so they take no
-        mirror.  At h1 >= 2 a target with |Z| <= BAND_LIMIT reads the band
-        instead.
+        mirror.
         """
         sums2 = self._half_table(h2)
         if not len(sums2):
             return []
+        if abs(Z) <= BAND_LIMIT:
+            return self._band_pairs(h1, h2).get(Z, [])
         lo, hi = int(sums2[0]), int(sums2[-1])
         if h1 == 1:
             # the table's values; those whose complement lies in sums2's range fit int64
             firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
-        elif abs(Z) <= BAND_LIMIT:
-            return self._band_pairs(h1, h2).get(Z, [])
         else:
             sums1 = self._half_table(h1)
             if not int(sums1[0]) + lo <= Z <= int(sums1[-1]) + hi:
@@ -585,14 +610,25 @@ class SearchDecomposer:
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
-        ``_splits`` of the ascending h1-sums against the h2-sums, cached per
+        ``_splits`` of the first half against the h2-sums, cached per
         half-depth combination so that meets over many small targets share it.
-        At h1 = h2 the halves are one table, so ``_self_splits`` probes only the
-        rows s1 <= BAND_LIMIT // 2 and mirrors the rest: half the searches.
+        At h1 = 1 the first half is the table's values in index order, repeats
+        kept, cut to the rows whose band window reaches the h2-sums' range.
+        Each group holds its first CANDIDATE_CAP pairs in the order of the
+        first half and then s2, and the walk stops only once every group is
+        full, so each group is what the width-0 meet of its total returns.
+        At h1 = h2 >= 2 the halves are one table, so ``_self_splits`` probes
+        only the rows s1 <= BAND_LIMIT // 2 and mirrors the rest: half the
+        searches.
         """
         if (h1, h2) not in self._band_cache:
-            sums1, sums2 = self._half_table(h1), self._half_table(h2)
-            join = _self_splits if h1 == h2 else _splits
+            sums2 = self._half_table(h2)
+            join = _self_splits if h1 == h2 >= 2 else _splits
+            if h1 == 1:  # the rows whose window reaches sums2 fit int64, as in _meet
+                low, high = -BAND_LIMIT - int(sums2[-1]), BAND_LIMIT - int(sums2[0])
+                sums1 = self.values[(self.values >= low) & (self.values <= high)]
+            else:
+                sums1 = self._half_table(h1)
             self._band_cache[(h1, h2)] = join(sums1, sums2, 0, BAND_LIMIT)
         return self._band_cache[(h1, h2)]
 

@@ -42,9 +42,10 @@ from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, small
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
 # Largest Z + 1 of a count: a product step raised RSS by 77-81 B a cell at Z <= 10^6, and
-# by 139-199 B at 3 * 10^5 once the dot needs Python ints (s = 6..12): 0.7 and 1.7 GB here.
+# by 116-195 B at 3 * 10^5 with s = 6..12, whose counts need Python ints: 0.7 and 1.6 GB here.
 _MAX_DP_CELLS = 2**23
 _INT64_GUARD = 2**62  # escalate a layer or the final product to exact big ints past this
+_DOT_BLOCK = 1 << 14  # matched cells per block of the exact final dot
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def count_representations(
     one multiplies the layer, spread over Z + 1 cells, by the indicator of the
     powers (``coefficients._product``).  Pair sums and the dot run in int64
     only while a bound check shows that nothing can pass ``_INT64_GUARD``,
-    else in exact Python integers, so the count is exact for every s and Z.
+    else in exact Python integers (the dot one block of cells at a time), so
+    the count is exact for every s and Z.
     Z + 1 above ``_MAX_DP_CELLS`` raises ``MemoryGuardError`` before anything
     is allocated.
     """
@@ -225,8 +227,16 @@ def count_representations(
     hi, lo_v = T[at[hit]], lo_T[::-1][hit]
     # partial sums stay <= max(T_hi) * sum(T_lo), and sum(T_lo) <= n^lo, max(T_lo) * its cells
     if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * len(lo_T)) > _INT64_GUARD:
-        hi, lo_v = hi.astype(object, copy=False), lo_v.astype(object, copy=False)
+        return _exact_dot(hi, lo_v)
     return int(np.dot(hi, lo_v))
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """x · y in Python ints, converting and dotting _DOT_BLOCK cells at a time, so that
+    one block of each, not two whole arrays, is held as Python ints."""
+    blocks = range(0, len(x), _DOT_BLOCK)
+    return sum(int(np.dot(x[st:st + _DOT_BLOCK].astype(object),
+                          y[st:st + _DOT_BLOCK].astype(object))) for st in blocks)
 
 
 def find_solution(

@@ -45,6 +45,8 @@ def parameters(fn) -> list[str]:
     (primes.divisor_counts, ["spf"]),
     (coefficients._product, ["x", "y", "n", "w"]),
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
+    (decomposer.SearchDecomposer._first, ["self", "s", "r", "K", "start"]),
+    (waring_goldbach._exact_dot, ["x", "y"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected

@@ -255,6 +255,29 @@ class TestSearch:
                 for s, t in lexmin.items():
                     assert sd._lexmin(s, h, K) == t
 
+    @pytest.mark.parametrize("form", ["delta", "11a"])
+    def test_lexmin_past_the_first_search_chunk(self, delta_1k, f11a_1k, form):
+        # _first searches indices 1-16, 17-48, 49-112, ...: sums whose smallest
+        # index sits on either side of a chunk edge, or at the pool's end
+        table = delta_1k if form == "delta" else f11a_1k
+        K = 64
+        sd = SearchDecomposer(table.truncate(K))
+        edges = {1, 16, 17, 48, 49, K}
+        for h in (2, 3):
+            lexmin: dict[int, tuple[int, ...]] = {}
+            for t in combinations_with_replacement(range(1, K + 1), h):
+                lexmin.setdefault(sum(table.a(i) for i in t), t)  # emitted in lex order
+            checked = {t[0] for t in lexmin.values() if t[0] in edges}
+            # 11a repeats values: a(17), a(48) and a(64) each equal an earlier
+            # value, so no sum has its smallest index there
+            assert checked == (edges if form == "delta" else {1, 16, 49}), (h, checked)
+            for s, t in lexmin.items():
+                if t[0] in edges:
+                    assert sd._lexmin(s, h, K) == t, (s, h)
+        # a total with no split is refused after the last chunk, not searched forever
+        with pytest.raises(ValueError, match="not a\\(i\\) plus a sum of 2 values over 1..64"):
+            sd._first(1 + 3 * max(abs(table.a(i)) for i in range(1, K + 1)), 2, K, 0)
+
     def test_11a_small_band_finishes(self):
         # 11a's small values repeat often: the 2+2 band finishes only because
         # it loops over distinct half-sums, not over every pair of 2-sums
@@ -310,13 +333,16 @@ def _brute_meet(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[tuple[in
 
 
 def _brute_band(sd: SearchDecomposer, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
+    """The band by definition; at h1 = 1 the first half is every value in index order."""
+    firsts = sd.values.tolist() if h1 == 1 else sd._half_table(h1).tolist()
+    sums2 = set(sd._half_table(h2).tolist())
     band: dict[int, list[tuple[int, int]]] = {}
-    for s1 in sd._half_table(h1).tolist():
-        for s2 in sd._half_table(h2).tolist():
-            if abs(s1 + s2) <= decomposer.BAND_LIMIT:
-                bucket = band.setdefault(s1 + s2, [])
+    for s1 in firsts:
+        for total in range(-decomposer.BAND_LIMIT, decomposer.BAND_LIMIT + 1):  # s2 ascending
+            if total - s1 in sums2:
+                bucket = band.setdefault(total, [])
                 if len(bucket) < decomposer.CANDIDATE_CAP:
-                    bucket.append((s1, s2))
+                    bucket.append((s1, total - s1))
     return band
 
 
@@ -431,15 +457,72 @@ class TestSearchTables:
         band = decomposer.BAND_LIMIT
         last_row_hit = low_past_end = False
         totals: set[int] = set()
-        for h1, h2 in self.HALVES[2:]:
+        for h1, h2 in self.HALVES:
             pairs = sd._band_pairs(h1, h2)
             assert pairs == _brute_band(sd, h1, h2), (h1, h2)
             totals |= pairs.keys()
+            if h1 == 1:  # unsorted rows; those whose window misses sums2 are cut before the walk
+                continue
             sums1, sums2 = sd._half_table(h1).tolist(), sd._half_table(h2).tolist()
             rows = [j for j, s1 in enumerate(sums1) if any(abs(s1 + s2) <= band for s2 in sums2)]
             last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
             low_past_end |= -band - sums1[0] > sums2[-1]  # its search returns len(sums2)
         assert last_row_hit and low_past_end and {-band, band} <= totals
+        # the repeated value 5 puts one split on a total twice, as the meet does
+        assert sd._band_pairs(1, 1)[10] == [(5, 5), (5, 5)]
+
+    @pytest.mark.parametrize("n_max", [1300, 3000])
+    def test_band_pairs_at_h1_1_on_exact_int_storage(self, n_max):
+        # the weight-12 tables to 1300 and 3000 hold their values as Python
+        # ints, some of those to 3000 past int64; the band's rows are cut to
+        # those whose window reaches sums2, which fit int64
+        sd = SearchDecomposer(expand_eta_product(DELTA, n_max))
+        assert sd.values.dtype == object
+        assert (max(abs(v) for v in sd.values.tolist()) >= 1 << 63) == (n_max == 3000)
+        for h2 in (1, 2):
+            pairs = sd._band_pairs(1, h2)
+            assert pairs and pairs == _brute_band(sd, 1, h2), h2
+
+    @pytest.mark.parametrize("values, stop", [
+        # every total in the band has CANDIDATE_CAP 1 + 1 splits by row 143
+        # (s1 = -8), where the group of 128, the last to fill, takes its 16th
+        ([1, *range(-150, 151)], 143),
+        # only the totals 17..65 fill, so the walk reads every row
+        (list(range(1, 41)), 39),
+    ])
+    def test_band_walk_stops_once_every_group_is_full(self, monkeypatch, values, stop):
+        monkeypatch.setattr(decomposer, "PROBE_CHUNK", 1)
+        sd = SearchDecomposer(CoeffTable(DELTA, len(values), values))
+        probe, chunks = decomposer._probe, []
+
+        def counting_probe(*args):
+            for chunk in probe(*args):
+                chunks.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(decomposer, "_probe", counting_probe)
+        assert sd._band_pairs(1, 1) == _brute_band(sd, 1, 1)
+        assert len(chunks) == stop + 1  # a chunk of one row each, through row `stop`
+
+    def test_small_targets_read_the_cached_band(self, monkeypatch, delta_searcher, delta_1k):
+        # decompose(100) misses at every depth, so it joins every band; after
+        # it no small target probes at any depth, h1 = 1 included
+        sd = delta_searcher
+        sd.decompose(100)
+        probes = []
+        probe = decomposer._probe
+
+        def counting_probe(*args):
+            probes.append(args[2])
+            return probe(*args)
+
+        monkeypatch.setattr(decomposer, "_probe", counting_probe)
+        band = decomposer.BAND_LIMIT
+        for Z in range(-band, band + 1):
+            assert verify_decomposition(sd.decompose(Z), delta_1k).ok
+        assert probes == []
+        sd.decompose(band + 1)  # a large target still meets by probe
+        assert probes
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_probe_yields_the_rows_whose_window_meets(self, monkeypatch, chunk):

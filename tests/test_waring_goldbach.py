@@ -115,8 +115,11 @@ class TestCounts:
         for Z, expected in zip(Zs, baseline):
             guard = 1 if s == 2 else len(primes_up_to(Z))
             monkeypatch.setattr(waring_goldbach, "_INT64_GUARD", guard)
+            dots.clear()
             assert count_representations(Z, s, 1) == expected, Z
-        assert dots == [(np.dtype(object), np.dtype(object))] * len(Zs)
+            # the matched cells fit one block of the exact dot; a count of 0 matches none
+            assert dots == [(np.dtype(object), np.dtype(object))] * (expected > 0), Z
+        assert any(baseline)
 
     def test_at_most_two_layers_alive(self):
         Z = 3 * 10**5
@@ -128,6 +131,33 @@ class TestCounts:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * (Z + 1)
+
+    def test_exact_dot_holds_one_block(self, monkeypatch):
+        # the T_3 counts of six primes summing to 3 * 10^5 + 1 stay int64, and
+        # only the final dot's bound escalates; converting one block of
+        # matched cells at a time gives the whole-array dot's count
+        Z, block = 3 * 10**5 + 1, waring_goldbach._DOT_BLOCK
+        exact_dot, calls = waring_goldbach._exact_dot, []
+
+        def traced(x, y):
+            tracemalloc.start()
+            try:
+                result = exact_dot(x, y)
+                calls.append((len(x), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return result
+
+        monkeypatch.setattr(waring_goldbach, "_exact_dot", traced)
+        count = count_representations(Z, 6, 1)
+        (cells, peak), = calls
+        monkeypatch.setattr(waring_goldbach, "_exact_dot", exact_dot)
+        monkeypatch.setattr(waring_goldbach, "_DOT_BLOCK", cells)  # one block: the whole arrays
+        assert count_representations(Z, 6, 1) == count == 33_587_162_516_693_160
+        # each count is a 28 B Python int in an 8 B object slot, so both arrays
+        # take 72 B a cell: one block of them, not the 18 times as many
+        # matched cells of the whole arrays
+        assert cells > 18 * block and peak <= 1.25 * 72 * block
 
     def test_plain_allowed_counts_each_prime_once(self):
         assert count_representations(6, 2, 1, allowed=[3, 3]) == 1
