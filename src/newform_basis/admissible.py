@@ -18,6 +18,7 @@ from math import comb
 
 from .coefficients import CoeffTable
 from .errors import InfeasibleError, MemoryGuardError, TableTooSmallError, VerificationError
+from .primes import is_prime
 from .signs import prime_sets
 
 MAX_STORED_SUMS = 10**8
@@ -79,6 +80,12 @@ class CardinalityReport:
     lower_bound_met: bool  # size >= 2k
 
 
+def _check_k(k: int) -> None:
+    """Subsets of size k >= 1 only: k = 0 has one empty subset and no repair identity."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def is_admissible(
     primes,
     k: int,
@@ -93,6 +100,7 @@ def is_admissible(
     Returns the first collision found as a counterexample pair.  More than
     ``MAX_STORED_SUMS`` subsets raise ``MemoryGuardError`` before any is hashed.
     """
+    _check_k(k)
     ps = sorted(primes)
     if len(set(ps)) != len(ps):
         raise ValueError("duplicate primes in candidate set")
@@ -177,6 +185,7 @@ def greedy_maximal(
     candidates up to ``check_bound``); it exists because the full k-subset
     store is infeasible for large k over large candidate pools.
     """
+    _check_k(k)
     cands = sorted(candidates)
     if len(cands) < 2 * k:
         raise InfeasibleError(f"need at least 2k = {2 * k} candidates, got {len(cands)}")
@@ -211,6 +220,7 @@ def dyadic_construction(table: CoeffTable, k: int, l0: int) -> AdmissibleSet:
     certifies admissibility and the strict growth of |a(p_i)| across the
     chain.  Needs the table to reach 2^(2k*l0 + 1).
     """
+    _check_k(k)
     if l0 < 1:
         raise ValueError("l0 must be >= 1")
     need = 1 << (2 * k * l0 + 1)
@@ -249,8 +259,11 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable) -> RepairWitness:
     k-subset sums of S) and rearranges it.  The k-subset sums are S.sums when
     S carries them and are hashed here otherwise.  Failing to find a
     collision means S u {p} is admissible, i.e. the maximality precondition
-    does not hold.
+    does not hold.  A p that is not prime raises ``ValueError``: the
+    identity is defined for primes only.
     """
+    if not is_prime(p):
+        raise ValueError(f"repair needs a prime p, got {p}")
     members = S.primes
     if p in members:
         raise ValueError(f"{p} is already a member of the admissible set")

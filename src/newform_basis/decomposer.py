@@ -373,9 +373,6 @@ def _splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[i
     Walks ``_probe``; each group keeps its first CANDIDATE_CAP pairs in the
     order of firsts and then s2.  The walk stops after the row that fills
     the last of the 2 width + 1 groups, when no later row can change one.
-    Each chunk's probe searches only its own slice of sums2, so ascending
-    firsts cost cache-resident searches; a self-join walks only half of its
-    rows, through ``_self_splits``.
     """
     groups: dict[int, list[tuple[int, int]]] = {}
     unfilled = 2 * width + 1
@@ -392,46 +389,26 @@ def _splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[i
     return groups
 
 
-def _self_splits(firsts: np.ndarray, sums2: np.ndarray, Z: int, width: int) -> dict[int, list]:
-    """``_splits`` of an ascending slice firsts of sums2 that holds every split's s2.
-
-    The pairs of a total t are then symmetric under s1 -> t - s1, so only
-    the rows s1 <= m = (Z + width) // 2 are probed, and a group left below
-    CANDIDATE_CAP is completed by (s2, s1) for its pairs with s2 > m, in
-    reverse; the rows ascend, so these are the first pairs of the group in
-    the order of firsts and then s2, as ``_splits`` of all of firsts gives.
-    """
-    m = (Z + width) // 2
-    groups = _splits(firsts[:firsts.searchsorted(m, "right")], sums2, Z, width)
-    for group in groups.values():
-        mirrored = [(s2, s1) for s1, s2 in reversed(group) if s2 > m]
-        group += mirrored[:CANDIDATE_CAP - len(group)]
-    return groups
-
-
 def _self_meet(sums: np.ndarray, firsts: np.ndarray, Z: int) -> list[tuple[int, int]]:
-    """``_self_splits(firsts, sums, Z, 0).get(Z, [])`` by a bounded sorted merge.
+    """``_splits(firsts, sums, Z, 0).get(Z, [])`` by a bounded sorted merge.
 
     firsts is an ascending slice of the ascending, deduplicated int64 table
-    sums, each of whose complements Z - s1 lies in sums' range.  The rows
-    s1 <= m = Z // 2 ascend, so their keys Z - s1 descend, and a split is a
-    key that is also an entry of sums.  Each step writes into one buffer of
-    2 PROBE_CHUNK entries a piece of at most PROBE_CHUNK keys, reversed so
-    that they ascend, and the slice of sums they span; a slice longer than
-    PROBE_CHUNK keeps its top PROBE_CHUNK entries and the piece shrinks to
-    the keys it still reaches.  A stable sort (timsort for int64, which
-    merges the two ascending runs in linear time) then puts each split's key
-    beside its entry.  The walk stops after the piece that brings the
-    lower-half splits to CANDIDATE_CAP and mirrors them as ``_self_splits``
-    does, so the pairs and their order are the same.
+    sums, each of whose complements Z - s1 lies in sums' range; a self-join
+    passes only its rows s1 <= Z // 2.  The rows ascend, so their keys
+    Z - s1 descend, and a split is a key that is also an entry of sums.
+    Each step writes into one buffer of 2 PROBE_CHUNK entries a piece of at
+    most PROBE_CHUNK keys, reversed so that they ascend, and the slice of
+    sums they span; a slice longer than PROBE_CHUNK keeps its top
+    PROBE_CHUNK entries and the piece shrinks to the keys it still reaches.
+    A stable sort (timsort for int64, which merges the two ascending runs in
+    linear time) then puts each split's key beside its entry.  The walk
+    stops after the piece that brings the splits to CANDIDATE_CAP.
     """
-    m = Z // 2
-    rows = firsts[:firsts.searchsorted(m, "right")]
     buf = np.empty(2 * PROBE_CHUNK, np.int64)
     found: list[int] = []
     st = 0
-    while st < len(rows) and len(found) < CANDIDATE_CAP:
-        piece = rows[st:st + PROBE_CHUNK]
+    while st < len(firsts) and len(found) < CANDIDATE_CAP:
+        piece = firsts[st:st + PROBE_CHUNK]
         b0, b1 = sums.searchsorted(Z - piece[-1]), sums.searchsorted(Z - piece[0], "right")
         if b1 - b0 > PROBE_CHUNK:
             b0 = b1 - PROBE_CHUNK
@@ -444,9 +421,7 @@ def _self_meet(sums: np.ndarray, firsts: np.ndarray, Z: int) -> list[tuple[int, 
         hits = merged[1:][merged[1:] == merged[:-1]]
         found += (Z - hits[::-1]).tolist()  # descending keys: the order of rows
         st += k
-    pairs = [(s1, Z - s1) for s1 in found[:CANDIDATE_CAP]]
-    mirrored = [(s2, s1) for s1, s2 in reversed(pairs) if s2 > m]
-    return pairs + mirrored[:CANDIDATE_CAP - len(pairs)]
+    return [(s1, Z - s1) for s1 in found[:CANDIDATE_CAP]]
 
 
 class SearchDecomposer:
@@ -464,20 +439,16 @@ class SearchDecomposer:
 
     ``_multiset_sums`` builds a table level by level, each laid out by first
     index so that the tuples with first index >= i are a suffix of the level
-    below; the table is then sorted and deduplicated in place.  A meet of one
-    table with itself (h1 = h2 >= 2, |Z| > BAND_LIMIT) is a merge,
-    ``_self_meet``: the splits of a total are symmetric, so it walks only the
-    rows s1 <= Z // 2, sorting their keys Z - s1 piece by piece together with
-    the slice of the table they span in one buffer of 2 PROBE_CHUNK entries,
-    with no binary search per row, and mirrors the rest.  A target with
+    below; the table is then sorted and deduplicated in place.  Every meet
+    and band takes its first-half rows from ``_rows``.  A target with
     |Z| <= BAND_LIMIT reads, at every depth, a band of the splits of every
-    such total, joined once per half-depth combination.  The band joins and
-    the cross meets (h1 != h2) are one collector, ``_splits``, over the
-    chunked ``_probe``, each chunk searching only the slice of the far denser
-    second half its windows can reach, which stays in cache; at h1 = h2 >= 2
-    the band likewise probes only half its rows, through ``_self_splits``.
-    A meet holds at most one chunk or one merge buffer of temporaries beside
-    the tables.
+    such total, joined once per half-depth combination.  A self-join
+    (h1 = h2 >= 2) keeps only its lower rows, s1 <= Z // 2 in a meet and
+    s1 <= BAND_LIMIT // 2 in the band: a split and its mirror rank alike, so
+    the upper rows add no candidate.  A self-join meet is a sorted merge,
+    ``_self_meet``; the cross meets (h1 != h2) and the bands are one
+    collector, ``_splits``, over the chunked ``_probe``.  A meet holds at
+    most one chunk or one merge buffer of temporaries beside the tables.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds, each half's index tuple
@@ -574,62 +545,54 @@ class SearchDecomposer:
             s -= int(self._ints[i])
         return (*head, self._value_first_index[s])
 
-    def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
-        """The first CANDIDATE_CAP half-sum splits (s1, s2) with s1 + s2 = Z.
+    def _rows(self, h1: int, low: int, high: int) -> np.ndarray:
+        """The first-half rows s1 with low <= s1 <= high.
 
-        The first half is every a(n) in index order at h1 = 1, else the
-        ascending h1-sums, cut to the rows whose complement Z - s1 lies in the
-        h2-sums' range.  A target with |Z| <= BAND_LIMIT reads the band at
-        every depth.  At h1 = h2 >= 2 the halves are one table, so
-        ``_self_meet`` merges the rows s1 <= Z // 2 with it and mirrors the
-        rest.  The cross meets take ``_splits`` at width 0, one search per row
-        in a far denser second half: on the 2 + 3 meet of a 6-sum target on
-        the weight-12 table to 1000, 1.5·10^5 rows against a 6·10^6-entry
-        span of the 3-sums took 10-17 ms by search and 16-28 ms by merge.
-        The h1 = 1 rows are unsorted and repeat values, so they take no
-        mirror.
+        At h1 = 1 they are the table's values in index order, repeats kept,
+        else a slice of the ascending h1-sums.  Callers bound the rows to
+        those whose window reaches the second half's range, so each row's
+        difference from a second-half entry fits int64.  The bounds are cut
+        to the h1-sums' range before the search, since a key past int64
+        would cast the table to object.
         """
-        sums2 = self._half_table(h2)
-        if not len(sums2):
-            return []
+        if h1 == 1:
+            return self.values[(self.values >= low) & (self.values <= high)]
+        sums = self._half_table(h1)
+        low, high = max(low, int(sums[0])), min(high, int(sums[-1]))
+        if low > high:
+            return sums[:0]
+        return sums[sums.searchsorted(low):sums.searchsorted(high, "right")]
+
+    def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
+        """The first CANDIDATE_CAP splits (s1, s2) with s1 + s2 = Z, in row order.
+
+        A target with |Z| <= BAND_LIMIT reads the band.  Otherwise the rows
+        are those whose complement Z - s1 lies in the h2-sums' range; a
+        self-join merges only its rows s1 <= Z // 2 with the table
+        (``_self_meet``), and a cross meet takes ``_splits`` at width 0.
+        """
         if abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
-        lo, hi = int(sums2[0]), int(sums2[-1])
-        if h1 == 1:
-            # the table's values; those whose complement lies in sums2's range fit int64
-            firsts = self.values[(self.values >= Z - hi) & (self.values <= Z - lo)]
-        else:
-            sums1 = self._half_table(h1)
-            if not int(sums1[0]) + lo <= Z <= int(sums1[-1]) + hi:
-                return []  # no split; a search key past int64 would cast sums1 to object
-            firsts = sums1[np.searchsorted(sums1, Z - hi):np.searchsorted(sums1, Z - lo, "right")]
-            if h1 == h2:
-                return _self_meet(sums2, firsts, Z)
-        return _splits(firsts, sums2, Z, 0).get(Z, [])
+        sums2 = self._half_table(h2)
+        low, high = Z - int(sums2[-1]), Z - int(sums2[0])
+        if h1 == h2 >= 2:
+            return _self_meet(sums2, self._rows(h1, low, min(high, Z // 2)), Z)
+        return _splits(self._rows(h1, low, high), sums2, Z, 0).get(Z, [])
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
-        ``_splits`` of the first half against the h2-sums, cached per
-        half-depth combination so that meets over many small targets share it.
-        At h1 = 1 the first half is the table's values in index order, repeats
-        kept, cut to the rows whose band window reaches the h2-sums' range.
-        Each group holds its first CANDIDATE_CAP pairs in the order of the
-        first half and then s2, and the walk stops only once every group is
-        full, so each group is what the width-0 meet of its total returns.
-        At h1 = h2 >= 2 the halves are one table, so ``_self_splits`` probes
-        only the rows s1 <= BAND_LIMIT // 2 and mirrors the rest: half the
-        searches.
+        ``_splits`` of the rows whose band window reaches the h2-sums, cut at
+        BAND_LIMIT // 2 for a self-join, cached per half-depth combination
+        so that meets over many small targets share it.  Each group holds
+        the first CANDIDATE_CAP pairs of its total in row order.
         """
         if (h1, h2) not in self._band_cache:
             sums2 = self._half_table(h2)
-            join = _self_splits if h1 == h2 >= 2 else _splits
-            if h1 == 1:  # the rows whose window reaches sums2 fit int64, as in _meet
-                low, high = -BAND_LIMIT - int(sums2[-1]), BAND_LIMIT - int(sums2[0])
-                sums1 = self.values[(self.values >= low) & (self.values <= high)]
-            else:
-                sums1 = self._half_table(h1)
-            self._band_cache[(h1, h2)] = join(sums1, sums2, 0, BAND_LIMIT)
+            low, high = -BAND_LIMIT - int(sums2[-1]), BAND_LIMIT - int(sums2[0])
+            if h1 == h2 >= 2:
+                high = min(high, BAND_LIMIT // 2)
+            self._band_cache[(h1, h2)] = _splits(self._rows(h1, low, high), sums2, 0, BAND_LIMIT)
         return self._band_cache[(h1, h2)]
 
     def _baseline(self, Z: int, ell_max: int) -> Decomposition | None:

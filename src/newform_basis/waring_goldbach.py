@@ -41,7 +41,8 @@ from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, small
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
-# Largest Z + 1 of a count: a product step raised RSS by 77-81 B a cell at Z <= 10^6, and
+# Most cells one allocation of a count may take: T_1's powers, a pair-sum step's pairs or a
+# product step's Z + 1 cells.  A product step raised RSS by 77-81 B a cell at Z <= 10^6, and
 # by 116-195 B at 3 * 10^5 with s = 6..12, whose counts need Python ints: 0.7 and 1.6 GB here.
 _MAX_DP_CELLS = 2**23
 _INT64_GUARD = 2**62  # escalate a layer or the final product to exact big ints past this
@@ -190,26 +191,28 @@ def count_representations(
     only while a bound check shows that nothing can pass ``_INT64_GUARD``,
     else in exact Python integers (the dot one block of cells at a time), so
     the count is exact for every s and Z.
-    Z + 1 above ``_MAX_DP_CELLS`` raises ``MemoryGuardError`` before anything
-    is allocated.
+    An allocation of more than ``_MAX_DP_CELLS`` cells (T_1's n powers, a
+    pair-sum step's pairs, a product step's Z + 1 cells) raises
+    ``MemoryGuardError`` before it is made.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
-    if Z + 1 > _MAX_DP_CELLS:
-        raise MemoryGuardError(f"count table of {Z + 1} cells exceeds the {_MAX_DP_CELLS} budget")
     pool, n = _allowed_powers(Z, e, allowed)
     if not n:
         return 0
+    _check_cells(n, "the powers of T_1")
     w = np.asarray(pool.powers[:n], dtype=np.int64)
     keys, T = w, np.ones(n, dtype=np.int64)  # T_1 as its support
     lo = s // 2  # T_lo is kept for the product; the loop builds up to T_(s - lo)
     lo_keys, lo_T = (keys, T) if lo == 1 else (np.zeros(1, np.int64), T[:1])  # T_0 for s = 1
     for j in range(2, s - lo + 1):
         if len(keys) * n <= Z + 1:
+            _check_cells(len(keys) * n, f"the pair-sum step to T_{j}")
             if T.dtype != object and int(T.max()) > _INT64_GUARD // n:
                 T = T.astype(object)  # exact big ints once int64 headroom runs out
             keys, T = _pair_sums(keys, T, w, Z)
         else:  # spread over Z + 1 cells, times the indicator of the powers
+            _check_cells(Z + 1, f"the product step to T_{j}")
             layer, ind = np.zeros(Z + 1, T.dtype), np.zeros(Z + 1, np.int8)
             layer[keys], ind[w] = T, 1
             bits = _digit_bits(Z + 1)
@@ -229,6 +232,12 @@ def count_representations(
     if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * len(lo_T)) > _INT64_GUARD:
         return _exact_dot(hi, lo_v)
     return int(np.dot(hi, lo_v))
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse an allocation of more than ``_MAX_DP_CELLS`` cells before it is made."""
+    if cells > _MAX_DP_CELLS:
+        raise MemoryGuardError(f"{what}: {cells} cells exceed the {_MAX_DP_CELLS} budget")
 
 
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:

@@ -40,6 +40,11 @@ class TestIsAdmissible:
         with pytest.raises(ValueError):
             is_admissible([3, 3, 5], 1, delta_1k)
 
+    @pytest.mark.parametrize("method", ["hash-collision", "brute-force"])
+    def test_k_below_1_rejected(self, delta_1k, method):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            is_admissible([3, 5, 7], 0, delta_1k, method=method)
+
     def test_memory_guard(self, monkeypatch, delta_1k):
         monkeypatch.setattr(admissible, "MAX_STORED_SUMS", 100)
         with pytest.raises(MemoryGuardError):
@@ -78,6 +83,13 @@ class TestGreedyMaximal:
     def test_needs_2k_candidates(self, delta_1k):
         with pytest.raises(InfeasibleError):
             greedy_maximal([3, 5, 7], 2, delta_1k)
+
+    def test_k_below_1_rejected(self, f11a_1k):
+        # k = 0 would keep every candidate: its one empty subset never collides
+        candidates, _ = prime_sets(f11a_1k, 300)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                greedy_maximal(candidates, k, f11a_1k)
 
     def test_size_target_stops_early(self, f11a_1k):
         candidates, _ = prime_sets(f11a_1k, 1000)
@@ -143,6 +155,10 @@ class TestDyadic:
         with pytest.raises(InfeasibleError):
             dyadic_construction(f11a_1k, 1, 2)
 
+    def test_k_below_1_rejected(self, f11a_1k):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            dyadic_construction(f11a_1k, 0, 2)
+
     def test_delta_k6_infeasible(self, delta_1k):
         from newform_basis import TableTooSmallError
 
@@ -203,6 +219,14 @@ class TestRepair:
         S = greedy_maximal(candidates, 1, f11a_1k)
         with pytest.raises(ValueError):
             repair(S.primes[0], S, f11a_1k)
+
+    @pytest.mark.parametrize("p", [1, 4, 15, 289])
+    def test_non_prime_rejected(self, f11a_1k, p):
+        # the identity is defined for primes; 4 and 289 are no member of S either
+        candidates, _ = prime_sets(f11a_1k, 300)
+        S = greedy_maximal(candidates, 1, f11a_1k)
+        with pytest.raises(ValueError, match=f"repair needs a prime p, got {p}"):
+            repair(p, S, f11a_1k)
 
     def test_non_maximal_precondition_detected(self, f11a_1k):
         S = AdmissibleSet(1, (3, 5), "hash-collision", 5)

@@ -47,6 +47,7 @@ def parameters(fn) -> list[str]:
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
     (decomposer.SearchDecomposer._first, ["self", "s", "r", "K", "start"]),
     (waring_goldbach._exact_dot, ["x", "y"]),
+    (decomposer.SearchDecomposer._rows, ["self", "h1", "low", "high"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -73,6 +74,11 @@ def test_square_is_gone():
     # delta's squarings and the dense count layers share one exact FFT product,
     # and a count holds every layer as its support
     assert not hasattr(coefficients, "_square")
+
+
+def test_self_splits_is_gone():
+    # a self-join keeps only its lower-half splits, so nothing mirrors them
+    assert not hasattr(decomposer, "_self_splits")
 
 
 def test_sampled_pairs_are_gone():

@@ -112,6 +112,17 @@ class TestAdmissible:
         payload = json.loads(out)
         assert payload["size"] == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--dyadic", "--l0", "2"]])
+    def test_k_0_is_a_usage_error(self, capsys, extra):
+        rc, out, err = run(capsys, ["admissible", "--form", "11a", "--k", "0", "--M", "300",
+                                    *extra])
+        assert (rc, out, err) == (2, "", "usage error: k must be >= 1, got 0\n")
+
+    def test_composite_repair_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, ["admissible", "--form", "11a", "--k", "1", "--M", "300",
+                                    "--repair", "4"])
+        assert (rc, out, err) == (2, "", "usage error: repair needs a prime p, got 4\n")
+
 
 class TestWg:
     def test_solve_found(self, capsys):

@@ -313,11 +313,12 @@ class TestSearch:
 
 
 def _first_half(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[int]:
-    """The rows _meet probes for Z, by definition: every value, or the window of h1-sums."""
+    """The rows _meet walks for Z, by definition: every value, or the window of
+    h1-sums, and in a self-join (h1 = h2 >= 2) only its rows s1 <= Z // 2."""
     sums2 = sd._half_table(h2).tolist()
-    if h1 == 1:
-        return [v for v in sd.values.tolist() if sums2[0] <= Z - v <= sums2[-1]]
-    return [s for s in sd._half_table(h1).tolist() if sums2[0] <= Z - s <= sums2[-1]]
+    rows = sd.values.tolist() if h1 == 1 else sd._half_table(h1).tolist()
+    rows = [s for s in rows if sums2[0] <= Z - s <= sums2[-1]]
+    return [s for s in rows if s <= Z // 2] if h1 == h2 >= 2 else rows
 
 
 def _hit_rows(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[int]:
@@ -332,12 +333,34 @@ def _brute_meet(sd: SearchDecomposer, Z: int, h1: int, h2: int) -> list[tuple[in
     return [(firsts[j], Z - firsts[j]) for j in _hit_rows(sd, Z, h1, h2)]
 
 
-def _brute_band(sd: SearchDecomposer, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
-    """The band by definition; at h1 = 1 the first half is every value in index order."""
-    firsts = sd.values.tolist() if h1 == 1 else sd._half_table(h1).tolist()
+def _all_rows_self_meet(sd: SearchDecomposer, Z: int, h: int) -> list[tuple[int, int]]:
+    """The first CANDIDATE_CAP splits of Z over every row of the h-sums, upper half included."""
+    sums = sd._half_table(h)
+    rows = sums[(sums >= Z - int(sums[-1])) & (sums <= Z - int(sums[0]))]
+    comps = Z - rows
+    hit = sums.take(np.searchsorted(sums, comps), mode="clip") == comps
+    return [(s1, Z - s1) for s1 in rows[hit][:decomposer.CANDIDATE_CAP].tolist()]
+
+
+def _band_rows(sd: SearchDecomposer, h1: int, h2: int, all_rows: bool = False) -> list[int]:
+    """The rows _band_pairs walks, by definition: every value in index order at
+    h1 = 1, else the h1-sums, each with a window reaching the h2-sums, and in a
+    self-join only its rows s1 <= BAND_LIMIT // 2 unless all_rows."""
+    band = decomposer.BAND_LIMIT
+    sums2 = sd._half_table(h2).tolist()
+    rows = sd.values.tolist() if h1 == 1 else sd._half_table(h1).tolist()
+    rows = [s for s in rows if -band - sums2[-1] <= s <= band - sums2[0]]
+    if h1 == h2 >= 2 and not all_rows:
+        rows = [s for s in rows if s <= band // 2]
+    return rows
+
+
+def _brute_band(sd: SearchDecomposer, h1: int, h2: int,
+                all_rows: bool = False) -> dict[int, list[tuple[int, int]]]:
+    """The band by definition: the first CANDIDATE_CAP splits of each total in row order."""
     sums2 = set(sd._half_table(h2).tolist())
     band: dict[int, list[tuple[int, int]]] = {}
-    for s1 in firsts:
+    for s1 in _band_rows(sd, h1, h2, all_rows):
         for total in range(-decomposer.BAND_LIMIT, decomposer.BAND_LIMIT + 1):  # s2 ascending
             if total - s1 in sums2:
                 bucket = band.setdefault(total, [])
@@ -346,10 +369,22 @@ def _brute_band(sd: SearchDecomposer, h1: int, h2: int) -> dict[int, list[tuple[
     return band
 
 
+def _unordered(pairs) -> set[tuple[int, int]]:
+    """The splits as unordered pairs: _search ranks (s1, s2) and (s2, s1) alike at h1 = h2."""
+    return {tuple(sorted(pair)) for pair in pairs}
+
+
 class TestSearchTables:
     """Half-sum tables by first-index suffixes, and the chunked probe of the meet and band join."""
 
     HALVES = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
+    MEET_TARGETS = (*range(-2000, -128, 61), *range(129, 1800, 7), 418, 820)
+    # for j <= 16, j + 1 of the 2j + 1 two-sum splits of ±(1200 + 2j) on the
+    # mirrored table lie in the lower half
+    MIRROR_TARGETS = tuple(Z for j in (14, 15, 16, 30)
+                           for Z in (1200 + 2 * j, 1201 + 2 * j, -1200 - 2 * j, -1201 - 2 * j))
+    # 6-sum targets on the weight-12 table to 1000, by their indices
+    SIX_SUMS = ((17, 58, 133, 201, 256, 300), (15, 164, 187, 195, 217, 239))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_multiset_sums_match_combinations(self, seed):
@@ -412,6 +447,20 @@ class TestSearchTables:
             for Z in (1 << 63, -(1 << 63), 10**400, -(10**400)):
                 assert searcher.decompose(Z) is None
 
+    def test_rows_past_int64_search_nothing(self, delta_searcher):
+        # bounds past the h1-sums are cut before any search: a key past int64
+        # would copy the 3-sums table (6·10^6 entries) to object
+        sd = delta_searcher
+        sd._half_table(3)
+        tracemalloc.start()
+        try:
+            for Z in (1 << 63, -(1 << 63), 10**400, -(10**400)):
+                assert not len(sd._rows(3, Z - 1, Z + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     @pytest.fixture(scope="class")
     def progression(self):
         # a run of values puts 20 splits on a target (past CANDIDATE_CAP), 5, 5
@@ -433,7 +482,7 @@ class TestSearchTables:
         cap = decomposer.CANDIDATE_CAP
         last_row_hit = cap_mid_chunk = False
         for h1, h2 in self.HALVES:
-            for Z in [*range(-2000, -128, 61), *range(129, 1800, 7), 418, 820]:
+            for Z in self.MEET_TARGETS:
                 if h1 == 1 or abs(Z) > decomposer.BAND_LIMIT:
                     pairs = sd._meet(Z, h1, h2)
                     assert pairs == _brute_meet(sd, Z, h1, h2), (Z, h1, h2)
@@ -461,12 +510,13 @@ class TestSearchTables:
             pairs = sd._band_pairs(h1, h2)
             assert pairs == _brute_band(sd, h1, h2), (h1, h2)
             totals |= pairs.keys()
-            if h1 == 1:  # unsorted rows; those whose window misses sums2 are cut before the walk
+            if h1 == 1:  # unsorted rows
                 continue
             sums1, sums2 = sd._half_table(h1).tolist(), sd._half_table(h2).tolist()
-            rows = [j for j, s1 in enumerate(sums1) if any(abs(s1 + s2) <= band for s2 in sums2)]
+            rows = [j for j, s1 in enumerate(_band_rows(sd, h1, h2))
+                    if any(abs(s1 + s2) <= band for s2 in sums2)]
             last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
-            low_past_end |= -band - sums1[0] > sums2[-1]  # its search returns len(sums2)
+            low_past_end |= -band - sums1[0] > sums2[-1]  # a row cut before the walk
         assert last_row_hit and low_past_end and {-band, band} <= totals
         # the repeated value 5 puts one split on a total twice, as the meet does
         assert sd._band_pairs(1, 1)[10] == [(5, 5), (5, 5)]
@@ -549,7 +599,7 @@ class TestSearchTables:
     def mirrored(self):
         # 300..316 and their negatives put 2j + 1 two-sum splits on Z = ±(1200 + 2j)
         # for j <= 16, j + 1 of them in the lower half s1 <= Z // 2; 32 + 32 and
-        # 32 + 33 are band rows at s1 = BAND_LIMIT // 2 and one past it
+        # 32 + 33 are 2-sums at s1 = BAND_LIMIT // 2 and one past it
         values = [1, *range(300, 317), *range(-316, -299), 32, 33]
         return CoeffTable(DELTA, len(values), values)
 
@@ -578,26 +628,54 @@ class TestSearchTables:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_self_join_mirror_edges(self, monkeypatch, mirror_searcher, chunk):
+        # lower halves of CANDIDATE_CAP - 1, CANDIDATE_CAP and CANDIDATE_CAP + 1
+        # splits: a self-join returns the first CANDIDATE_CAP of them and no mirror
         sd = mirror_searcher
         monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
         cap = decomposer.CANDIDATE_CAP
         sums2 = set(sd._half_table(2).tolist())
         lower_halves, diagonals = set(), set()
-        for j in (14, 15, 16, 30):
-            for Z in (1200 + 2 * j, 1201 + 2 * j, -1200 - 2 * j, -1201 - 2 * j):
-                pairs = sd._meet(Z, 2, 2)
-                assert pairs == _brute_meet(sd, Z, 2, 2), Z
-                firsts = _first_half(sd, Z, 2, 2)
-                lower_halves.add(sum(s1 <= Z // 2 and Z - s1 in sums2 for s1 in firsts))
-                if Z % 2 == 0 and (Z // 2, Z // 2) in pairs:
-                    assert pairs.count((Z // 2, Z // 2)) == 1  # the diagonal split, once
-                    diagonals.add(Z)
+        for Z in self.MIRROR_TARGETS:
+            pairs = sd._meet(Z, 2, 2)
+            assert pairs == _brute_meet(sd, Z, 2, 2), Z
+            lower_halves.add(sum(Z - s1 in sums2 for s1 in _first_half(sd, Z, 2, 2)))
+            if Z % 2 == 0 and (Z // 2, Z // 2) in pairs:
+                assert pairs.count((Z // 2, Z // 2)) == 1  # the diagonal split, once
+                diagonals.add(Z)
         assert {cap - 1, cap, cap + 1} <= lower_halves
         assert {1228, 1230, -1228, -1230} <= diagonals  # 15th and 16th of the splits
         band = sd._band_pairs(2, 2)
         assert band == _brute_band(sd, 2, 2)
-        m = decomposer.BAND_LIMIT // 2
-        assert {m, m + 1} <= {s1 for group in band.values() for s1, _ in group}
+        # the band's rows stop at BAND_LIMIT // 2, though 33 + 32 has splits in it
+        assert max(s1 for group in band.values() for s1, _ in group) == decomposer.BAND_LIMIT // 2
+        assert _brute_band(sd, 2, 2, all_rows=True) != band
+
+    @pytest.mark.parametrize("searcher", ["small_searcher", "mirror_searcher", "delta_searcher"])
+    def test_self_joins_find_the_all_rows_splits(self, request, delta_1k, searcher):
+        # A total's splits pair up as (s1, s2) and (s2, s1), so the first
+        # CANDIDATE_CAP of the lower rows, as unordered pairs, are those of the
+        # first CANDIDATE_CAP rows of all: the lower half holds the first
+        # ceil(n / 2) of n splits.  _search ranks a split and its mirror alike,
+        # so its tie-breaks see the candidates of the all-rows definition.
+        sd = request.getfixturevalue(searcher)
+        halves = (2, 3, 4)
+        if searcher == "delta_searcher":  # its bands are too large for the brute-force band
+            meets = [(sum(delta_1k.a(i) for i in indices), 3) for indices in self.SIX_SUMS]
+            halves = ()
+        else:
+            meets = [(Z, h) for h in halves for Z in self.MEET_TARGETS + self.MIRROR_TARGETS]
+        differ = 0
+        for Z, h in meets:
+            pairs, every = sd._meet(Z, h, h), _all_rows_self_meet(sd, Z, h)
+            assert _unordered(pairs) == _unordered(every), (Z, h)
+            differ += pairs != every
+        for h in halves:
+            band, every = sd._band_pairs(h, h), _brute_band(sd, h, h, all_rows=True)
+            assert band.keys() == every.keys(), h
+            for total, group in every.items():
+                assert _unordered(band[total]) == _unordered(group), (total, h)
+                differ += band[total] != group
+        assert differ  # the all-rows definition takes upper rows somewhere
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_probe_on_unsorted_rows_with_repeats(self, monkeypatch, chunk):
@@ -648,13 +726,14 @@ class TestSearchTables:
         return np.unique(np.concatenate([dense, sparse]).astype(np.int64))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
-    def test_self_meet_matches_self_splits(self, monkeypatch, chunk):
-        # sparse rows against dense keys span more than a piece of sums, which
-        # forces the capped slice; every total stays within 2^62
+    def test_self_meet_matches_splits(self, monkeypatch, chunk):
+        # the lower rows, as a self-join passes them; sparse rows against dense
+        # keys span more than a piece of sums, which forces the capped slice;
+        # every total stays within 2^62
         monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         cap = decomposer.CANDIDATE_CAP
-        lower_halves, parities, far_keys = set(), set(), set()
+        lower_halves, parities, far = set(), set(), set()
         capped = diagonal = False
         for _ in range(400):
             sums = self._skewed_table(rng)
@@ -663,20 +742,21 @@ class TestSearchTables:
             if abs(Z) >= 1 << 62:
                 continue
             lo, hi = int(sums[0]), int(sums[-1])
-            firsts = np.array([s for s in sums.tolist() if lo <= Z - s <= hi], np.int64)
-            pairs = decomposer._self_meet(sums, firsts, Z)
-            assert pairs == decomposer._self_splits(firsts, sums, Z, 0).get(Z, []), (sums, Z)
-            rows = firsts[:firsts.searchsorted(Z // 2, "right")]
+            rows = np.array([s for s in sums.tolist() if lo <= Z - s <= hi and s <= Z // 2],
+                            np.int64)
+            pairs = decomposer._self_meet(sums, rows, Z)
+            assert pairs == decomposer._splits(rows, sums, Z, 0).get(Z, []), (sums, Z)
             lower_halves.add(sum(Z - s1 in sums for s1 in rows.tolist()))
             parities.add(Z % 2)
             diagonal |= pairs.count((Z // 2, Z // 2)) == 1 and Z % 2 == 0
-            far_keys |= {s2 > 0 for _, s2 in pairs if abs(s2) > 1 << 61}
+            # a lower row s1 <= Z // 2 lies far below zero, or its key far above
+            far |= {v > 0 for pair in pairs for v in pair if abs(v) > 1 << 61}
             if len(rows):
                 piece = rows[:chunk]
                 span = sums.searchsorted(Z - piece[0], "right") - sums.searchsorted(Z - piece[-1])
                 capped |= span > chunk
         assert {cap - 1, cap, cap + 1} <= lower_halves and parities == {0, 1}
-        assert diagonal and far_keys == {False, True}
+        assert diagonal and far == {False, True}
         assert capped or chunk == 1  # one key spans at most one entry
 
     def test_meet_stops_at_the_cap(self, monkeypatch, small_searcher, mirror_searcher):
@@ -685,9 +765,9 @@ class TestSearchTables:
         cap = decomposer.CANDIDATE_CAP
         # Z = 820 has 21 splits 400 + 420, ..., 420 + 400 over the 2-sums of
         # 200..218; the self-join merges exactly the 11 rows s1 <= 410 and
-        # mirrors the first 5 of them to fill the cap
+        # returns their 11 splits
         pairs = small_searcher._meet(820, 2, 2)
-        assert len(pairs) == cap and rows == [1] * 11
+        assert len(pairs) == 11 and rows == [1] * 11
         assert pairs == _brute_meet(small_searcher, 820, 2, 2)
         # Z = 1232 has 33 splits, 17 of them with s1 <= 616: the cap fills
         # on the 16th merged row, and the walk stops there
@@ -698,21 +778,20 @@ class TestSearchTables:
 
     def test_six_sum_self_join_probes_the_lower_half(self, monkeypatch, delta_searcher, delta_1k):
         # ell = 6 meets of two 6-sum targets.  A full walk of the first one's
-        # window reads about 4.2·10^6 rows before the cap fills; the mirrored
-        # walk reads only the 3-sums <= Z // 2 (about 1.6·10^6), which hold 10
-        # of its splits, so it reads each of them once.  The second one's
-        # lower half holds 17 splits, and the walk stops after the piece that
-        # holds the 16th.
+        # window would read about 4.2·10^6 rows before the cap fills; the
+        # self-join reads only the 3-sums <= Z // 2 (about 1.6·10^6), which
+        # hold 10 of its splits, so it reads each of them once and returns
+        # those 10.  The second one's lower half holds 17 splits, and the walk
+        # stops after the piece that holds the 16th.
         sd = delta_searcher
         sums3 = sd._half_table(3)
         lo, hi = int(sums3[0]), int(sums3[-1])
         cap = decomposer.CANDIDATE_CAP
         rows = self._counting_merge(monkeypatch)
-        for indices, splits in (((17, 58, 133, 201, 256, 300), 10),
-                                ((15, 164, 187, 195, 217, 239), 17)):
+        for indices, splits in zip(self.SIX_SUMS, (10, 17)):
             Z = sum(delta_1k.a(i) for i in indices)
             rows.clear()
-            assert len(sd._meet(Z, 3, 3)) == cap
+            assert len(sd._meet(Z, 3, 3)) == min(splits, cap)
             lower = sums3[(sums3 >= Z - hi) & (sums3 <= min(Z - lo, Z // 2))]
             comps = Z - lower
             hits = np.flatnonzero(sums3.take(np.searchsorted(sums3, comps), mode="clip") == comps)

@@ -83,8 +83,18 @@ class TestCounts:
         assert count_representations(10, 2, 1, allowed=no_small) == 1  # only (5, 5)
 
     def test_memory_guard(self):
-        with pytest.raises(MemoryGuardError):
-            count_representations(2**26, 2, 1)
+        # the first step of (2^26, 3, 1) over the 9592 primes to 10^5 is a
+        # product over 2^26 + 1 cells; it raises before that layer is allocated
+        with pytest.raises(MemoryGuardError, match="product step to T_2: 67108865 cells"):
+            count_representations(2**26, 3, 1, allowed=primes_up_to(10**5))
+
+    @pytest.mark.parametrize("Z, count", [(9 * 10**6 + 1, 154_560), (10**7 + 1, 292_320)])
+    def test_cell_budget_binds_allocations_not_Z(self, Z, count):
+        # eight prime cubes past Z + 1 = 2^23 cells: every layer stays in
+        # support form, the largest step 46 powers times the 3-sums; the
+        # counts match a dict-based 4 + 4 meet over the prime cubes
+        assert Z + 1 > waring_goldbach._MAX_DP_CELLS
+        assert count_representations(Z, 8, 3) == count
 
     def test_bigint_escalation_matches_int64(self, monkeypatch):
         baseline = [count_representations(Z, 4, 1) for Z in range(20, 60)]
