@@ -193,15 +193,29 @@ def count_representations(
     the count is exact for every s and Z.
     An allocation of more than ``_MAX_DP_CELLS`` cells (T_1's n powers, a
     pair-sum step's pairs, a product step's Z + 1 cells) raises
-    ``MemoryGuardError`` before it is made.
+    ``MemoryGuardError`` before it is made; for the default pool, a root
+    Z^(1/e) whose prime count must pass the budget (pi(x) >= x / ln x for
+    x >= 17) raises before the sieve.  Z >= 2^62 raises ``ValueError``:
+    a sum of two powers <= Z must fit in int64.
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
-    pool, n = _allowed_powers(Z, e, allowed)
+    if 2 * Z > np.iinfo(np.int64).max:
+        raise ValueError(f"need Z < 2^62 so that pair sums fit in int64, got {Z}")
+    if allowed is None:  # every prime: sieve, cut and raise to the e-th power in int64
+        root = integer_nth_root(Z, e)
+        bound = int(root / math.log(root)) if root >= 17 else 0
+        _check_cells(bound, "the powers of T_1 (a lower bound, pi(x) >= x / ln x)")
+        w = prime_array(root)
+        _check_cells(len(w), "the powers of T_1")
+        w = w**e
+    else:
+        pool, n = _allowed_powers(Z, e, allowed)
+        _check_cells(n, "the powers of T_1")
+        w = np.asarray(pool.powers[:n], dtype=np.int64)
+    n = len(w)
     if not n:
         return 0
-    _check_cells(n, "the powers of T_1")
-    w = np.asarray(pool.powers[:n], dtype=np.int64)
     keys, T = w, np.ones(n, dtype=np.int64)  # T_1 as its support
     lo = s // 2  # T_lo is kept for the product; the loop builds up to T_(s - lo)
     lo_keys, lo_T = (keys, T) if lo == 1 else (np.zeros(1, np.int64), T[:1])  # T_0 for s = 1

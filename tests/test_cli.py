@@ -154,6 +154,12 @@ class TestWg:
         limit = f"a coefficient table to n_max = {10**12 + 1} exceeds the {2**27} limit"
         assert err == f"error: {limit}\n"
 
+    def test_count_past_int64_pair_sums_is_a_usage_error(self, capsys):
+        Z = 10**19  # its 3rd root has few primes, but two cubes near Z overflow int64
+        rc, out, err = run(capsys, ["wg", "count", "--Z", str(Z), "--s", "2", "--e", "3"])
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: need Z < 2^62 so that pair sums fit in int64, got {Z}\n"
+
     def test_count(self, capsys):
         rc, out, _ = run(capsys, ["wg", "count", "--Z", "10", "--s", "2", "--e", "1"])
         assert rc == 0 and "count=3" in out

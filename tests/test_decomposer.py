@@ -504,7 +504,7 @@ class TestSearchTables:
         sd = small_searcher
         monkeypatch.setattr(decomposer, "PROBE_CHUNK", chunk)
         band = decomposer.BAND_LIMIT
-        last_row_hit = low_past_end = False
+        last_row_hit = rows_cut = False
         totals: set[int] = set()
         for h1, h2 in self.HALVES:
             pairs = sd._band_pairs(h1, h2)
@@ -516,8 +516,11 @@ class TestSearchTables:
             rows = [j for j, s1 in enumerate(_band_rows(sd, h1, h2))
                     if any(abs(s1 + s2) <= band for s2 in sums2)]
             last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
-            low_past_end |= -band - sums1[0] > sums2[-1]  # a row cut before the walk
-        assert last_row_hit and low_past_end and {-band, band} <= totals
+            # _rows drops every row whose band window misses the h2-sums
+            walked = sd._rows(h1, -band - sums2[-1], band - sums2[0])
+            assert walked.tolist() == _band_rows(sd, h1, h2, all_rows=True), (h1, h2)
+            rows_cut |= len(walked) < len(sums1)
+        assert last_row_hit and rows_cut and {-band, band} <= totals
         # the repeated value 5 puts one split on a total twice, as the meet does
         assert sd._band_pairs(1, 1)[10] == [(5, 5), (5, 5)]
 

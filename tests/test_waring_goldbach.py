@@ -21,7 +21,7 @@ from newform_basis import (
     hua_main_term,
     singular_series,
 )
-from newform_basis.primes import integer_nth_root, primes_up_to
+from newform_basis.primes import integer_nth_root, is_prime, primes_up_to
 from newform_basis import primes, waring_goldbach
 from newform_basis.waring_goldbach import prime_powers
 
@@ -87,6 +87,30 @@ class TestCounts:
         # product over 2^26 + 1 cells; it raises before that layer is allocated
         with pytest.raises(MemoryGuardError, match="product step to T_2: 67108865 cells"):
             count_representations(2**26, 3, 1, allowed=primes_up_to(10**5))
+
+    def test_default_pool_refused_before_the_sieve(self):
+        # pi(10^9) >= 10^9 / ln 10^9 > 2^23 powers: refused before any sieve
+        # or power list is built (the sieve to 10^9 alone is a 1 GiB bitmap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuardError, match="the powers of T_1"):
+                count_representations(10**18, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_pair_sums_stay_in_int64(self):
+        # with p about 6.5·10^18, the pair sum 2p wraps in int64 onto
+        # Z = 4p - 2^64 < 2^63, and Z - 2p wraps back onto it: Z >= 2^62 is refused
+        p = 6_500_000_000_000_000_023
+        assert is_prime(p) and 4 * p - 2**64 < 2**63
+        with pytest.raises(ValueError, match="need Z < 2\\^62"):
+            count_representations(4 * p - 2**64, 4, 1, allowed=[p])
+        q = 2**61 - 1  # a Mersenne prime: 2q = 2^62 - 2 is the largest sum accepted
+        assert count_representations(2 * q, 2, 1, allowed=[q]) == 1
+        with pytest.raises(ValueError, match="need Z < 2\\^62"):
+            count_representations(2**62, 2, 1, allowed=[q])
 
     @pytest.mark.parametrize("Z, count", [(9 * 10**6 + 1, 154_560), (10**7 + 1, 292_320)])
     def test_cell_budget_binds_allocations_not_Z(self, Z, count):
