@@ -296,7 +296,10 @@ def repair(p: int, S: AdmissibleSet, table: CoeffTable) -> RepairWitness:
 
 
 def cardinality_report(S: AdmissibleSet | int, M: int, k: int) -> CardinalityReport:
-    """Size of S against the reference scale M^((2k-1)/(2k))."""
+    """Size of S against the reference scale M^((2k-1)/(2k)), for M >= 1."""
+    _check_k(k)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     size = len(S.primes) if isinstance(S, AdmissibleSet) else int(S)
     bound = float(M ** ((2 * k - 1) / (2 * k)))
     return CardinalityReport(size, M, k, bound, size / bound, size >= 2 * k)

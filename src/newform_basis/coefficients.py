@@ -727,7 +727,6 @@ def _as_float(values) -> np.ndarray:
 def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
     """The pairs (n, a) with a^2 > c^2 n^pk, in the given order, as Python ints.
 
-    ns None stands for the indices 1..len(values), made one block at a time.
     float64 only screens: |a| < c n^(pk/2) (1 - margin) with a finite bound
     clears an entry, and every entry it does not clear is decided in exact
     integers.
@@ -735,8 +734,7 @@ def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
     out = []
     for lo in range(0, len(values), _SCREEN_BLOCK):
         block = slice(lo, lo + _SCREEN_BLOCK)
-        vs, cs = values[block], c[block]
-        idx = np.arange(lo + 1, lo + 1 + len(vs)) if ns is None else ns[block]
+        vs, cs, idx = values[block], c[block], ns[block]
         with np.errstate(over="ignore"):  # an overflowed bound is inf, never cleared
             bound = np.power(_as_float(idx), pk / 2)
             bound *= cs
@@ -753,26 +751,27 @@ def _size_violations(ns, values, c, pk: int) -> list[tuple[int, int]]:
 def check_identities(table: CoeffTable) -> IdentityReport:
     """Scan the whole table for violations of its defining identities.
 
-    Checks the Hecke relation at every composite n <= n_max along
-    ``spf_blocks``, the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at primes
-    not dividing the level, and the divisor bound a(n)^2 <= d(n)^2 n^(2k-1) at
-    every index, d from the same spf table.  The relation compares exact
-    integers; the two bounds are screened in float64 and every entry the screen
-    does not clear is decided in exact integers (``_size_violations``).
+    One ``spf_blocks`` walk checks, block by block, the Hecke relation at
+    every composite n <= n_max and the divisor bound a(n)^2 <= d(n)^2 n^(2k-1)
+    at every n >= 2, d from the same spf table (a(1) = d(1) = 1 meets it), and
+    with it the squared coefficient bound a(p)^2 <= 4 p^(2k-1) at primes not
+    dividing the level.  The relation compares exact integers; the two bounds
+    are screened in float64 and every entry the screen does not clear is
+    decided in exact integers (``_size_violations``).
     """
     vals = table._values
     n_max, level, pk = table.n_max, table.level, table.weight - 1
     spf = smallest_prime_factors(n_max)
     d = divisor_counts(spf)
-    hecke, mult = [], []
+    hecke, mult, divisor = [], [], []
     for n, p, q in spf_blocks(spf):
+        divisor += _size_violations(n, vals[n - 1], d[n], pk)
         c = q > 1  # the composites
         n, p, q = n[c], p[c], q[c]
         expected = _hecke_values(table.descriptor, vals, p, q)
         for i in np.flatnonzero(vals[n - 1] != expected).tolist():
             entry = (int(n[i]), int(vals[n[i] - 1]), int(expected[i]))
             (mult if q[i] % p[i] else hecke).append(entry)
-    divisor = _size_violations(None, vals, d[1:], pk)
     # d(p) = 2, so at a prime the divisor bound is the Deligne bound
     deligne = [(p, ap) for p, ap in divisor if d[p] == 2 and level % p]
     return IdentityReport(n_max, hecke, mult, deligne, divisor)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissible import AdmissibleSet, RepairWitness, greedy_maximal, repair
 from .coefficients import CoeffTable
-from .errors import InfeasibleError, NotFoundError, TableTooSmallError, VerificationError
+from .errors import InfeasibleError, NotFoundError, VerificationError
 from .signs import first_negative, prime_sets
 from .waring_goldbach import find_solution, hua_constants, prime_powers
 
@@ -214,14 +214,6 @@ class ConstructivePipeline:
                 cap *= 8
         self._pools = [prime_powers(pool, self.e) for pool in pools + [self.pool] if pool]
 
-    def _shift_index(self, x: int) -> int:
-        """Smallest index n with a(n) > x."""
-        values, indices = self.table.positive_records()
-        j = bisect_right(values, x)
-        if j == len(values):
-            raise TableTooSmallError(f"no coefficient exceeds {x}; extend the table")
-        return indices[j]
-
     def _expand_target(self, W: int) -> Counter:
         """Index multiplicities realizing C0 * W through prime-power expansions."""
         counts: Counter[int] = Counter()
@@ -272,15 +264,15 @@ class ConstructivePipeline:
             if len(shift_indices) >= 64:
                 raise InfeasibleError(f"shift limit reached while {reason}")
             nonlocal cur
-            try:
-                n_prime = self._shift_index(2 * abs(cur))
-            except TableTooSmallError:
+            values, indices = self.table.positive_records()
+            j = bisect_right(values, 2 * abs(cur))
+            if j == len(values):
                 raise InfeasibleError(
                     f"stuck {reason}: no coefficient exceeds {2 * abs(cur)} "
                     f"in the table to n_max={self.table.n_max}; extend the table"
-                ) from None
-            shift_indices.append(n_prime)
-            cur -= self.table.a(n_prime)
+                )
+            shift_indices.append(indices[j])
+            cur -= values[j]
 
         while abs(cur) <= self.T:
             shift_once("escaping the small-target threshold")
@@ -432,23 +424,23 @@ class SearchDecomposer:
     int64.  Depth ell = h1 + h2 <= MAX_MEET_DEPTH meets the h1- and h2-sum
     tables, each over the pool sized for its half to HALF_SUM_BUDGET entries
     and to h * max|a| <= 2^61, so every split total lies within 2^62 and every
-    probe difference fits int64; at ell = 2, 3 the first half is instead every
-    a(n), n <= n_max, from the table's own values.  Tables are cached by
-    (h, K), so one instance amortizes across many targets.  The search ranges
-    over every index; ``SearchDecomposer(table.truncate(m))`` searches n <= m.
+    probe difference fits int64; these pool sizes are fixed at construction.
+    At ell = 2, 3 the first half is instead every a(n), n <= n_max.  Tables
+    are cached by (h, K), so one instance amortizes across many targets.
+    ``SearchDecomposer(table.truncate(m))`` searches only n <= m.
 
     ``_multiset_sums`` builds a table level by level, each laid out by first
     index so that the tuples with first index >= i are a suffix of the level
     below; the table is then sorted and deduplicated in place.  Every meet
-    and band takes its first-half rows from ``_rows``.  A target with
-    |Z| <= BAND_LIMIT reads, at every depth, a band of the splits of every
-    such total, joined once per half-depth combination.  A self-join
-    (h1 = h2 >= 2) keeps only its lower rows, s1 <= Z // 2 in a meet and
-    s1 <= BAND_LIMIT // 2 in the band: a split and its mirror rank alike, so
-    the upper rows add no candidate.  A self-join meet is a sorted merge,
-    ``_self_meet``; the cross meets (h1 != h2) and the bands are one
-    collector, ``_splits``, over the chunked ``_probe``.  A meet holds at
-    most one chunk or one merge buffer of temporaries beside the tables.
+    and band takes its first-half rows from ``_rows``, which computes their
+    window.  A target with |Z| <= BAND_LIMIT reads, at every depth, a band
+    of the splits of every such total, joined once per half-depth
+    combination.  A self-join (h1 = h2 >= 2) keeps only its lower rows,
+    s1 <= Z // 2 in a meet and s1 <= BAND_LIMIT // 2 in the band: a split
+    and its mirror rank alike.  A self-join meet is a sorted merge,
+    ``_self_meet``; the cross meets and the bands are one collector,
+    ``_splits``, over the chunked ``_probe``.  A meet holds at most one
+    chunk or one merge buffer of temporaries beside the tables.
 
     Ties break to the lexicographically smallest index list among the first
     CANDIDATE_CAP splits Z = s1 + s2 the meet finds, each half's index tuple
@@ -469,24 +461,18 @@ class SearchDecomposer:
         self._value_first_index: dict[int, int] = {}
         for i, v in enumerate(self.values.tolist(), start=1):
             self._value_first_index.setdefault(v, i)
-        self._prefix_abs_max = np.maximum.accumulate(np.abs(self.values))
-        self._pools: dict[int, int] = {}
-        self._ints = self.values[:self._pool(1)].astype(np.int64)
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
-        self._band_cache: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-
-    def _pool(self, h: int) -> int:
-        """Pool size K for h-sum tables: C(K+h-1, h) <= HALF_SUM_BUDGET, h*|a(n)| <= 2^61."""
-        K = self._pools.get(h)
-        if K is None:
-            budget = self.HALF_SUM_BUDGET
-            K = min(self.table.n_max, int((budget * factorial(h)) ** (1.0 / h)) + 2)
+        # pool size K of each half depth h: C(K+h-1, h) <= HALF_SUM_BUDGET, h*|a(n)| <= 2^61
+        abs_max = np.maximum.accumulate(np.abs(self.values))
+        budget = self.HALF_SUM_BUDGET
+        self._pool_sizes: dict[int, int] = {}
+        for h in range(1, self.MAX_MEET_DEPTH - self.MAX_MEET_DEPTH // 2 + 1):
+            K = min(table.n_max, int((budget * factorial(h)) ** (1.0 / h)) + 2)
             while K > 1 and comb(K + h - 1, h) > budget:
                 K -= 1
-            limit = (1 << 61) // h
-            K = min(K, int(np.searchsorted(self._prefix_abs_max, limit, side="right")))
-            self._pools[h] = K
-        return K
+            self._pool_sizes[h] = min(K, int(np.searchsorted(abs_max, (1 << 61) // h, "right")))
+        self._ints = self.values[:self._pool_sizes[1]].astype(np.int64)
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+        self._band_cache: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
     def _sums(self, h: int, K: int) -> np.ndarray:
         """The h-sum table over indices 1..K."""
@@ -507,7 +493,7 @@ class SearchDecomposer:
         return sums
 
     def _half_table(self, h: int) -> np.ndarray:
-        return self._sums(h, self._pool(h))
+        return self._sums(h, self._pool_sizes[h])
 
     def _first(self, s: int, r: int, K: int, start: int) -> int:
         """The smallest i >= start with s - a(i + 1) an r-sum over 1..K.
@@ -545,16 +531,20 @@ class SearchDecomposer:
             s -= int(self._ints[i])
         return (*head, self._value_first_index[s])
 
-    def _rows(self, h1: int, low: int, high: int) -> np.ndarray:
-        """The first-half rows s1 with low <= s1 <= high.
+    def _rows(self, h1: int, h2: int, Z: int, width: int) -> np.ndarray:
+        """The first-half rows s1 whose window [Z-width-s1, Z+width-s1] reaches the h2-sums.
 
         At h1 = 1 they are the table's values in index order, repeats kept,
-        else a slice of the ascending h1-sums.  Callers bound the rows to
-        those whose window reaches the second half's range, so each row's
-        difference from a second-half entry fits int64.  The bounds are cut
-        to the h1-sums' range before the search, since a key past int64
-        would cast the table to object.
+        else a slice of the ascending h1-sums.  A self-join (h1 = h2 >= 2)
+        keeps only its rows s1 <= (Z + width) // 2.  Each row's difference
+        from an h2-sum then fits int64.  The bounds are cut to the h1-sums'
+        range before the search, since a key past int64 would cast the table
+        to object.
         """
+        sums2 = self._half_table(h2)
+        low, high = Z - width - int(sums2[-1]), Z + width - int(sums2[0])
+        if h1 == h2 >= 2:
+            high = min(high, (Z + width) // 2)
         if h1 == 1:
             return self.values[(self.values >= low) & (self.values <= high)]
         sums = self._half_table(h1)
@@ -566,33 +556,28 @@ class SearchDecomposer:
     def _meet(self, Z: int, h1: int, h2: int) -> list[tuple[int, int]]:
         """The first CANDIDATE_CAP splits (s1, s2) with s1 + s2 = Z, in row order.
 
-        A target with |Z| <= BAND_LIMIT reads the band.  Otherwise the rows
-        are those whose complement Z - s1 lies in the h2-sums' range; a
-        self-join merges only its rows s1 <= Z // 2 with the table
-        (``_self_meet``), and a cross meet takes ``_splits`` at width 0.
+        A target with |Z| <= BAND_LIMIT reads the band.  Otherwise a
+        self-join merges its ``_rows`` at width 0 with the table
+        (``_self_meet``), and a cross meet takes ``_splits`` of them.
         """
         if abs(Z) <= BAND_LIMIT:
             return self._band_pairs(h1, h2).get(Z, [])
-        sums2 = self._half_table(h2)
-        low, high = Z - int(sums2[-1]), Z - int(sums2[0])
+        rows, sums2 = self._rows(h1, h2, Z, 0), self._half_table(h2)
         if h1 == h2 >= 2:
-            return _self_meet(sums2, self._rows(h1, low, min(high, Z // 2)), Z)
-        return _splits(self._rows(h1, low, high), sums2, Z, 0).get(Z, [])
+            return _self_meet(sums2, rows, Z)
+        return _splits(rows, sums2, Z, 0).get(Z, [])
 
     def _band_pairs(self, h1: int, h2: int) -> dict[int, list[tuple[int, int]]]:
         """All (s1, s2) splits with |s1 + s2| <= BAND_LIMIT, grouped by total.
 
-        ``_splits`` of the rows whose band window reaches the h2-sums, cut at
-        BAND_LIMIT // 2 for a self-join, cached per half-depth combination
-        so that meets over many small targets share it.  Each group holds
-        the first CANDIDATE_CAP pairs of its total in row order.
+        ``_splits`` of the ``_rows`` around 0 at width BAND_LIMIT, cached
+        per half-depth combination so that meets over many small targets
+        share it.  Each group holds the first CANDIDATE_CAP pairs of its
+        total in row order.
         """
         if (h1, h2) not in self._band_cache:
-            sums2 = self._half_table(h2)
-            low, high = -BAND_LIMIT - int(sums2[-1]), BAND_LIMIT - int(sums2[0])
-            if h1 == h2 >= 2:
-                high = min(high, BAND_LIMIT // 2)
-            self._band_cache[(h1, h2)] = _splits(self._rows(h1, low, high), sums2, 0, BAND_LIMIT)
+            rows = self._rows(h1, h2, 0, BAND_LIMIT)
+            self._band_cache[(h1, h2)] = _splits(rows, self._half_table(h2), 0, BAND_LIMIT)
         return self._band_cache[(h1, h2)]
 
     def _baseline(self, Z: int, ell_max: int) -> Decomposition | None:
@@ -632,7 +617,7 @@ class SearchDecomposer:
             h1, h2 = ell // 2, ell - ell // 2
             pairs = self._meet(Z, h1, h2)
             if pairs:
-                k1, k2 = self._pool(h1), self._pool(h2)
+                k1, k2 = self._pool_sizes[h1], self._pool_sizes[h2]
                 best = min(sorted(self._lexmin(s1, h1, k1) + self._lexmin(s2, h2, k2))
                            for s1, s2 in pairs)
                 terms = tuple(sorted(Counter(best).items()))

@@ -37,7 +37,9 @@ import numpy as np
 
 from .coefficients import _combine, _digit_bits, _digits, _product
 from .errors import MemoryGuardError, VerificationError
-from .primes import integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors
+from .primes import (
+    MAX_SIEVE, integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors,
+)
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
@@ -122,8 +124,9 @@ def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
     """Prepare a pool of strictly ascending ``primes`` (kept, not copied).
 
     The pool is checked once, here, so no solve over it pays again: entries
-    must ascend strictly and each must be a prime of the shared sieve
-    (``prime_array``), one vectorised ``searchsorted``; ``ValueError`` otherwise.
+    must ascend strictly and each must be a prime: of the shared sieve
+    (``prime_array``) by one vectorised ``searchsorted`` up to ``MAX_SIEVE``,
+    by ``is_prime`` past it; ``ValueError`` otherwise.
     """
     ps = np.asarray(primes, dtype=np.int64)
     if len(ps):
@@ -131,10 +134,11 @@ def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
         if len(down):
             i = down[0]
             raise ValueError(f"pool primes must ascend strictly: {ps[i]} then {ps[i + 1]}")
-        sieve = prime_array(max(int(ps[-1]), 2))  # never empty, so the clip lands on a prime
-        bad = sieve.take(np.searchsorted(sieve, ps), mode="clip") != ps
-        if bad.any():
-            raise ValueError(f"pool entry {ps[bad][0]} is not a prime")
+        sieve = prime_array(int(ps[ps <= MAX_SIEVE].max(initial=2)))  # never empty, for the clip
+        off = ps[sieve.take(np.searchsorted(sieve, ps), mode="clip") != ps].tolist()
+        bad = [p for p in off if p <= MAX_SIEVE or not is_prime(p)]  # past the sieve: is_prime
+        if bad:
+            raise ValueError(f"pool entry {bad[0]} is not a prime")
     return _pool(primes, e)
 
 
@@ -143,10 +147,12 @@ def _allowed_powers(
 ) -> tuple[PrimePowers, int]:
     """The pool and the count n of its powers <= Z: one bisect into a prepared pool,
     a plain ``allowed`` checked, de-duplicated and sorted first, else a cut of the
-    shared sieve (``prime_array``; exact Python ints for e > 1)."""
+    shared sieve (``prime_array``; for e > 1 exact Python ints, refused by ``_sieve_cut``
+    past ``_MAX_DP_CELLS`` primes)."""
     if allowed is None:
-        ps = prime_array(integer_nth_root(Z, e))
-        allowed = _pool(ps if e == 1 else ps.tolist(), e)
+        root = integer_nth_root(Z, e)
+        ps = prime_array(root) if e == 1 else _sieve_cut(root, "the default pool").tolist()
+        allowed = _pool(ps, e)
     elif not isinstance(allowed, PrimePowers):
         ps = list(dict.fromkeys(map(int, allowed)))  # exact ints, even from ndarrays; each once
         bad = next((p for p in ps if not is_prime(p)), None)
@@ -193,9 +199,8 @@ def count_representations(
     the count is exact for every s and Z.
     An allocation of more than ``_MAX_DP_CELLS`` cells (T_1's n powers, a
     pair-sum step's pairs, a product step's Z + 1 cells) raises
-    ``MemoryGuardError`` before it is made; for the default pool, a root
-    Z^(1/e) whose prime count must pass the budget (pi(x) >= x / ln x for
-    x >= 17) raises before the sieve.  Z >= 2^62 raises ``ValueError``:
+    ``MemoryGuardError`` before it is made, the default pool's T_1 before the
+    sieve where it can (``_sieve_cut``).  Z >= 2^62 raises ``ValueError``:
     a sum of two powers <= Z must fit in int64.
     """
     if Z < 1 or s < 1 or e < 1:
@@ -203,12 +208,7 @@ def count_representations(
     if 2 * Z > np.iinfo(np.int64).max:
         raise ValueError(f"need Z < 2^62 so that pair sums fit in int64, got {Z}")
     if allowed is None:  # every prime: sieve, cut and raise to the e-th power in int64
-        root = integer_nth_root(Z, e)
-        bound = int(root / math.log(root)) if root >= 17 else 0
-        _check_cells(bound, "the powers of T_1 (a lower bound, pi(x) >= x / ln x)")
-        w = prime_array(root)
-        _check_cells(len(w), "the powers of T_1")
-        w = w**e
+        w = _sieve_cut(integer_nth_root(Z, e), "the powers of T_1")**e
     else:
         pool, n = _allowed_powers(Z, e, allowed)
         _check_cells(n, "the powers of T_1")
@@ -248,6 +248,16 @@ def count_representations(
     return int(np.dot(hi, lo_v))
 
 
+def _sieve_cut(root: int, what: str) -> np.ndarray:
+    """The primes <= root, a cut of the shared sieve; more than ``_MAX_DP_CELLS`` of them
+    raise ``MemoryGuardError``, before the sieve when pi(x) >= x / ln x (x >= 17) shows it."""
+    _check_cells(int(root / math.log(root)) if root >= 17 else 0,
+                 f"{what} (a lower bound, pi(x) >= x / ln x)")
+    ps = prime_array(root)
+    _check_cells(len(ps), what)
+    return ps
+
+
 def _check_cells(cells: int, what: str) -> None:
     """Refuse an allocation of more than ``_MAX_DP_CELLS`` cells before it is made."""
     if cells > _MAX_DP_CELLS:
@@ -273,7 +283,8 @@ def find_solution(
     ``DEFAULT_NODE_BUDGET`` visited nodes.  The memo and both prunings are
     sound: a None returned with budget left proves there is no solution over
     the allowed primes; only a spent budget proves nothing.  A found multiset
-    is re-summed, and one that fails raises ``VerificationError``.
+    is re-summed, and one that fails raises ``VerificationError``.  For e > 1
+    the default pool is refused past ``_MAX_DP_CELLS`` primes (``_sieve_cut``).
     """
     if Z < 1 or s < 1 or e < 1:
         raise ValueError("need Z >= 1, s >= 1, e >= 1")
@@ -402,8 +413,8 @@ def singular_series(Z: int, s: int, e: int, q_max: int = DEFAULT_QMAX) -> Singul
 
 def hua_main_term(Z: int, s: int, e: int, ss: SingularSeriesEstimate) -> float:
     """ss * Gamma(1/e)^s / Gamma(s/e) * Z^(s/e - 1) / log(Z)^s, natural log."""
-    if Z < 3:
-        raise ValueError("main term needs Z >= 3")
+    if Z < 3 or s < 1 or e < 1:
+        raise ValueError("main term needs Z >= 3, s >= 1, e >= 1")
     if ss.value == 0.0:
         return 0.0
     log_scale = (

@@ -244,6 +244,13 @@ class TestCardinality:
     def test_lower_bound_flag(self):
         assert not cardinality_report(3, 100, 2).lower_bound_met
 
+    @pytest.mark.parametrize("M, k, message", [(100, 0, "k must be >= 1, got 0"),
+                                               (0, 1, "M must be >= 1, got 0")])
+    def test_k_and_M_below_1_rejected(self, M, k, message):
+        # both divided by zero
+        with pytest.raises(ValueError, match=message):
+            cardinality_report(12, M, k)
+
     def test_ratio_sweep_is_reported(self, f11a_1k):
         # trend across M: the report only records values, no monotonicity claim
         ratios = []

@@ -47,7 +47,7 @@ def parameters(fn) -> list[str]:
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
     (decomposer.SearchDecomposer._first, ["self", "s", "r", "K", "start"]),
     (waring_goldbach._exact_dot, ["x", "y"]),
-    (decomposer.SearchDecomposer._rows, ["self", "h1", "low", "high"]),
+    (decomposer.SearchDecomposer._rows, ["self", "h1", "h2", "Z", "width"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -79,6 +79,16 @@ def test_square_is_gone():
 def test_self_splits_is_gone():
     # a self-join keeps only its lower-half splits, so nothing mirrors them
     assert not hasattr(decomposer, "_self_splits")
+
+
+def test_search_pool_method_is_gone():
+    # the searcher fixes the pool size of every half depth at construction
+    assert not hasattr(decomposer.SearchDecomposer, "_pool")
+
+
+def test_shift_index_is_gone():
+    # the constructive shift reads the positive records and raises InfeasibleError itself
+    assert not hasattr(decomposer.ConstructivePipeline, "_shift_index")
 
 
 def test_sampled_pairs_are_gone():

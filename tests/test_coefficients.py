@@ -779,6 +779,19 @@ class TestCheckIdentities:
         # a(2)^2 passes 2^63, so the relation at 4 is evaluated in Python ints
         assert report.hecke_violations[0] == (4, -1472, (2**62 - 1) ** 2 - 2**11)
 
+    def test_divisor_violations_across_a_walk_block_edge(self):
+        # 8191 = 2^13 - 1 (a prime) closes one spf_blocks block and 8192 opens
+        # the next; each block screens its own rows, and both are reported in order
+        table = expand_eta_product(FORM_11A, 9000)
+        edges = [int(n[-1]) for n, _, _ in primes.spf_blocks(primes.smallest_prime_factors(9000))]
+        assert 8191 in edges
+        values = table._values.tolist()
+        values[8190], values[8191] = 10**6, -(10**6)
+        report = check_identities(CoeffTable(table.descriptor, 9000, values))
+        assert report.divisor_bound_violations == [(8191, 10**6), (8192, -(10**6))]
+        assert report.deligne_violations == [(8191, 10**6)]
+        assert check_identities(table).ok
+
     def test_detects_deligne_violation(self):
         values = [1, 100] + [0] * 8
         bad = CoeffTable(DELTA, 10, values)

@@ -403,7 +403,7 @@ class TestSearchTables:
         ints = sd._ints.copy()
         for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
             for r in range(1, h + 1):
-                assert np.all(np.diff(sd._sums(r, sd._pool(h))) > 0)
+                assert np.all(np.diff(sd._sums(r, sd._pool_sizes[h])) > 0)
         assert np.array_equal(sd._ints, ints)
         assert np.array_equal(delta_1k._values, values)
 
@@ -426,7 +426,7 @@ class TestSearchTables:
         sd = SearchDecomposer(delta_1k)
         tracemalloc.start()
         try:
-            sums = sd._sums(3, sd._pool(3))
+            sums = sd._sums(3, sd._pool_sizes[3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,14 +448,16 @@ class TestSearchTables:
                 assert searcher.decompose(Z) is None
 
     def test_rows_past_int64_search_nothing(self, delta_searcher):
-        # bounds past the h1-sums are cut before any search: a key past int64
+        # windows past the h1-sums are cut before any search: a key past int64
         # would copy the 3-sums table (6·10^6 entries) to object
         sd = delta_searcher
-        sd._half_table(3)
+        for h in (3, 4):
+            sd._half_table(h)
         tracemalloc.start()
         try:
             for Z in (1 << 63, -(1 << 63), 10**400, -(10**400)):
-                assert not len(sd._rows(3, Z - 1, Z + 1))
+                for h2 in (3, 4):  # the 3 + 3 self-join and the 3 + 4 cross meet
+                    assert not len(sd._rows(3, h2, Z, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -517,9 +519,9 @@ class TestSearchTables:
                     if any(abs(s1 + s2) <= band for s2 in sums2)]
             last_row_hit |= any(j % chunk == chunk - 1 for j in rows)
             # _rows drops every row whose band window misses the h2-sums
-            walked = sd._rows(h1, -band - sums2[-1], band - sums2[0])
-            assert walked.tolist() == _band_rows(sd, h1, h2, all_rows=True), (h1, h2)
-            rows_cut |= len(walked) < len(sums1)
+            walked = sd._rows(h1, h2, 0, band)
+            assert walked.tolist() == _band_rows(sd, h1, h2), (h1, h2)
+            rows_cut |= h1 != h2 and len(walked) < len(sums1)  # no self-join cut
         assert last_row_hit and rows_cut and {-band, band} <= totals
         # the repeated value 5 puts one split on a total twice, as the meet does
         assert sd._band_pairs(1, 1)[10] == [(5, 5), (5, 5)]
@@ -808,7 +810,7 @@ class TestSearchTables:
         sd = delta_searcher
         for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
             for r in range(1, h + 1):
-                sd._sums(r, sd._pool(h))
+                sd._sums(r, sd._pool_sizes[h])
         # a sum of six a(i) with i <= 300, like the benchmark's large targets
         Z = sum(delta_1k.a(i) for i in (17, 58, 133, 201, 256, 300))
         tracemalloc.start()
@@ -834,7 +836,7 @@ class TestSearchTables:
         sd = delta_searcher
         for h in range(1, SearchDecomposer.MAX_MEET_DEPTH // 2 + 1):
             for r in range(1, h + 1):
-                sd._sums(r, sd._pool(h))
+                sd._sums(r, sd._pool_sizes[h])
         Z = sum(delta_1k.a(i) for i in (15, 164, 187, 195, 217, 239))
         assert Z == -11_103_518_303_120
         tracemalloc.start()

@@ -385,6 +385,33 @@ class TestFindSolution:
         assert prime_powers(np.array([2, 3, 5]), 1).primes.tolist() == [2, 3, 5]
         assert count_representations(9, 3, 1, allowed=prime_powers([3], 1)) == 1
 
+    def test_prepared_pool_takes_primes_past_the_sieve(self):
+        # entries above MAX_SIEVE are tested by is_prime, not by a sieve to them
+        p = 2**31 - 1
+        assert p > primes.MAX_SIEVE
+        pool = prime_powers([3, p], 1)
+        assert pool.primes == [3, p]
+        assert count_representations(2 * p, 2, 1, allowed=prime_powers([p], 1)) == 1
+        assert count_representations(2 * p, 2, 1, allowed=[p]) == 1
+        assert find_solution(3 + p, 2, 1, allowed=pool).primes == (3, p)
+        with pytest.raises(ValueError, match=f"entry {2**31 + 1} is not a prime"):
+            prime_powers([3, 2**31 + 1], 1)  # 3 * 715827883
+
+    @pytest.mark.filterwarnings("ignore:Z = ")
+    def test_default_pool_refused_before_the_sieve(self):
+        # pi(10^9) >= 10^9 / ln 10^9 > 2^23 squares: refused before the sieve
+        # to 10^9 (a 1 GiB bitmap) and its two lists of about 5·10^7 ints
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryGuardError, match="the default pool \\(a lower bound"):
+                find_solution(10**18, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # two cubes near 2^63: about 1.6·10^5 primes, the powers exact ints
+        assert find_solution(1659971**3 + 1659997**3, 2, 3).primes == (1659971, 1659997)
+
     def test_unpooled_solves_skip_the_pool_check(self, monkeypatch):
         # without a prepared pool nothing is checked twice: the sieve cut is
         # prime by construction and a plain ``allowed`` has its own check
@@ -528,3 +555,9 @@ class TestMainTerm:
         est = singular_series(101, 2, 1, 10)
         with pytest.raises(ValueError):
             hua_main_term(2, 2, 1, est)
+
+    @pytest.mark.parametrize("s, e", [(3, 0), (0, 3)])
+    def test_requires_s_and_e_at_least_1(self, s, e):
+        # e = 0 divided by zero and s = 0 took lgamma(0)
+        with pytest.raises(ValueError, match="main term needs Z >= 3, s >= 1, e >= 1"):
+            hua_main_term(10, s, e, singular_series(10, 3, 1, 10))
