@@ -7,9 +7,10 @@ each other so they can cross-check:
   builtin form with truncated sparse series: each eta power splits into
   Jacobi cubes and pentagonal-number series and the two longest multiply
   sparse by sparse.  For the level-11 form the rest run as shifted-add
-  passes, one block of ``_PASS_BLOCK`` output rows at a time so that the
-  block being written stays in a per-core L2 cache while the input streams
-  past.  Delta is that product eta^6 = (eta^3)^2 squared twice by
+  passes, each in the narrowest of int16, int32 and int64 that its bound
+  max|x| * sum|w| fits, one block of ``_PASS_BLOCK`` output rows at a time so
+  that the block being written stays in a per-core L2 cache while the input
+  streams past.  Delta is that product eta^6 = (eta^3)^2 squared twice by
   ``_product``: eta^12, then eta^24.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone by
   the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
@@ -17,14 +18,18 @@ each other so they can cross-check:
   a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p),
   over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
-All stored coefficients are exact integers.  The sparse product and every
-pass run in exact int64.  ``_product``, which delta's squarings and the dense
-count layers of ``waring_goldbach`` share, multiplies balanced W-bit digit
-series, value = sum_i d_i 2^(W i), by real FFT products of digit pairs at the
-width W that a stated float64 error bound keeps every rounding error below
-1/4 for, checked again on every product; the rounded products carry into one
-int64 array that each output digit is taken off, and ``_combine`` joins
-digits into int64 words and, past one, into exact Python ints.  The size
+All stored coefficients are exact integers.  The sparse product runs in exact
+int64 and every pass in the exact dtype its bound picks.  ``_product``, which
+delta's squarings and the dense count layers of ``waring_goldbach`` share,
+multiplies balanced W-bit digit series, value = sum_i d_i 2^(W i), by real
+FFTs: one forward transform per digit, and the products of each digit group
+summed in the frequency domain, one inverse transform per chunk of at most m
+ordered products.  A stated float64 error bound (``_digit_bits``, with its
+two premises) sizes W and m so that every rounding error stays below 1/4,
+and a guard checks that again on every inverse transform; the rounded sums
+carry into one int64 array that each output digit is taken off, and
+``_combine`` joins digits into int64 words and, past one, into exact Python
+ints.  The size
 checks (``check_identities`` and the loader's Deligne check) compare in
 float64 only as a screen: every entry the screen does not clear is decided in
 exact integers.
@@ -315,15 +320,17 @@ def _sparse_product(first, second, n: int) -> np.ndarray:
 
 
 def _shift_pass(cur, out, series) -> None:
-    """out = cur times the sparse series, truncated to len(cur), in int64.
+    """out = cur times the sparse series, truncated to len(cur), in the dtype
+    of out, which ``_eta_values`` gives cur too.
 
     Every weight must be +-1; any other raises ValueError.  Exact when
-    max|cur| * sum|w| < 2^63, which ``_eta_values`` checks before the first
-    pass.  The pass fills ``_PASS_BLOCK`` output rows at a time, adding the
-    terms into a block up to the first exponent past its end, so the series'
-    exponents must ascend.  The 512 KB block stays in a per-core L2 cache
-    across all its terms while ``cur`` streams past; a whole-array add per
-    term would refetch the output from L3 every time.
+    max|cur| * sum|w| fits that dtype, the bound by which ``_eta_values``
+    picks it.  The pass fills ``_PASS_BLOCK`` output rows at a time, adding
+    the terms into a block up to the first exponent past its end, so the
+    series' exponents must ascend.  The block, 512 KB in int64 and a quarter
+    of that in int16, stays in a per-core L2 cache across all its terms while
+    ``cur`` streams past; a whole-array add per term would refetch the output
+    from L3 every time.
     """
     n = len(cur)
     exps, weights = series[0].tolist(), series[1].tolist()
@@ -363,20 +370,48 @@ def _transform(m: int) -> tuple[int, int]:
 def _digit_bits(n: int) -> int:
     """Width W of the balanced digits |d| <= 2^(W-1) that ``_product`` takes and
     returns series of n terms in: the largest W with n 4^(W-1) (13 k + 3) <
-    2^51, k from ``_transform(2 n - 1)``.
+    2^51, k from ``_transform(2 n - 1)``, the grouped bound below at m = 1.
 
     Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the error of the FFT
     product of x and y of length 2^k by ||x|| ||y|| ((1 + e)^(3k)
     (1 + sqrt(5) e)^(3k+1) (1 + b)^(3k) - 1) < ||x|| ||y|| e (13 k + 3), with
-    e = 2^-53 and twiddle factors correct to b <= e.  Two digit series have
-    ||x|| ||y|| <= n 4^(W-1), so every rounding error stays below 1/4 and
-    every exact value below 2^51.
+    e = 2^-53.  Two premises carry it to the transforms used here; neither is
+    checked in code:
+
+    * the twiddle factors are correct to b <= e: a hypothesis of the theorem,
+      taken to hold for numpy's pocketfft;
+    * a radix-3 or radix-5 pass errs no more than the radix-4 or radix-8 pass
+      that pads it, so a length 2^a 3^b 5^c counts as 2^k, k = a + 2 b + 3 c
+      (``_transform``): the theorem is stated for radix 2, and this count is
+      the module's own.
+
+    A grouped inverse transform takes the sum of the spectra of m ordered
+    products x_t y_t.  Each product's forward transforms and pointwise product
+    err as in the theorem, and the inverse transform errs in proportion to the
+    norm of its input, at most the sum of the products' norms; so those terms
+    add up to e (13 k + 3) sum_t ||x_t|| ||y_t||.  The m - 1 complex
+    additions of the spectra add at most (m - 1) e sum_t ||x_t|| ||y_t||
+    more: the + m of the bound.  Digit series have ||x_t|| ||y_t|| <=
+    n 4^(W-1), so when n m 4^(W-1) (13 k + 2 + m) < 2^51 every rounding error
+    stays below 1/4 and every exact value below 2^51.
     """
     _, k = _transform(2 * n - 1)
     w = 1
     while n * 4**w * (13 * k + 3) < 1 << 51:
         w += 1
     return w
+
+
+def _group_size(n: int, w: int) -> int:
+    """The most ordered digit products m that ``_product`` sums into one inverse
+    transform of series of n terms at width w: the largest m with
+    n m 4^(w-1) (13 k + 2 + m) < 2^51 (``_digit_bits``), and 1 when w is
+    wider than even m = 1 allows."""
+    _, k = _transform(2 * n - 1)
+    m = 1
+    while n * (m + 1) * 4 ** (w - 1) * (13 * k + 3 + m) < 1 << 51:
+        m += 1
+    return m
 
 
 def _emit(carry: np.ndarray, w: int) -> np.ndarray:
@@ -396,49 +431,77 @@ def _emit(carry: np.ndarray, w: int) -> np.ndarray:
 def _product(x: list[np.ndarray], y: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
     """The exact product, truncated to n terms, of the series sum_i x[i]
     2^(w i) and sum_j y[j] 2^(w j), each given as digit series |d| <= 2^(w-1)
-    of n terms, w = ``_digit_bits(n)``; as balanced w-bit digit series, top
-    zero digits dropped, so a zero product is [].  ``y is x`` squares.
+    of n terms, w at most ``_digit_bits(n)``; as balanced w-bit digit series,
+    top zero digits dropped, so a zero product is [].  ``y is x`` squares.
 
-    Digit group s, sum_{i+j=s} x_i y_j, takes one real FFT product per pair
-    (i, j), i <= j in a square, its i ascending in even groups and descending
-    in odd ones, so that each pair shares a digit with the next and that
-    digit's spectrum is kept for it: at most three spectrum-sized arrays are
-    alive at a time.  A product more than 1/4 off an integer raises
-    VerificationError; otherwise it rounds into one carried int64 array, and
-    once group s is in, ``_emit`` takes output digit s off the carry.  A
-    rounded product is below 2^51, so the carry stays far below 2^63.
+    Digit group s, sum_{i+j=s} x_i y_j, takes the pairs (i, j), i <= j in a
+    square, and counts each as one ordered product, or two when a square
+    pair has i != j (d_i d_j + d_j d_i).  Each digit's spectrum is computed
+    once, at the first group that reads it, and freed after the last; the
+    pair that reads a spectrum for the last time multiplies into it in place.
+    The group's products, weighted 1 or 2, sum in the frequency domain, one
+    inverse transform per chunk of at most m = ``_group_size(n, w)`` ordered
+    products; a pair worth more than m (two at m = 1) is its own chunk and
+    doubles after rounding.  A transform more than 1/4 off an integer raises
+    VerificationError naming the group and its pairs; otherwise it rounds
+    into one carried int64 array, and once group s is in, ``_emit`` takes
+    output digit s off the carry.  A rounded chunk is below 2^51, so the
+    carry stays far below 2^63.
     """
     size, _ = _transform(2 * n - 1)
+    m = _group_size(n, w)
     square, top = y is x, len(x) + len(y) - 1
-    pairs = [(i, s - i) for s in range(top) for i in range(
-        max(0, s - len(y) + 1), min(s // 2 if square else s, len(x) - 1) + 1)[::1 - 2 * (s % 2)]]
-    keys = [(i, j if square else ~j) for i, j in pairs]  # spectrum keys: y_j is ~j unless y is x
-    kept = kept_spectrum = None  # the digit shared with the next pair, and its spectrum
-    carry, out, k = np.zeros(n, dtype=np.int64), [], 0
+
+    spectra: dict[int, np.ndarray] = {}  # x_i's under key i, y_j's under ~j (j in a square)
+
+    def last(u: int) -> int:  # the last group that reads spectrum u
+        return u + len(y) - 1 if u >= 0 else ~u + len(x) - 1
+
+    def spectrum(u: int) -> np.ndarray:
+        if u not in spectra:
+            spectra[u] = np.fft.rfft(x[u] if u >= 0 else y[~u], size)
+        return spectra[u]
+
+    carry, out = np.zeros(n, dtype=np.int64), []
     while len(out) < top or carry.any():
-        while k < len(pairs) and sum(pairs[k]) == len(out):
-            (i, j), (u, v) = pairs[k], keys[k]
-            k += 1
-            a = kept_spectrum if kept == u else np.fft.rfft(x[i], size)
-            b = a if v == u else kept_spectrum if kept == v else np.fft.rfft(y[j], size)
-            kept = min({u, v}.intersection(keys[k] if k < len(keys) else ()), default=None)
-            if kept is None:
-                f, kept_spectrum = a, None
-                f *= b
-            elif u == v:
-                f, kept_spectrum = a * a, a
-            else:  # the product overwrites the spectrum the next pair does not need
-                f, kept_spectrum = (b, a) if kept == u else (a, b)
-                f *= kept_spectrum
-            del a, b
-            z = np.fft.irfft(f, size)[:n]
-            del f
+        s = len(out)
+        chunks, total = [], m  # as if full, so that the first pair opens a chunk
+        for i in range(max(0, s - len(y) + 1), min(s // 2 if square else s, len(x) - 1) + 1):
+            c = 2 if square and 2 * i != s else 1
+            if total + c > m:
+                chunks.append([])
+                total = 0
+            chunks[-1].append((i, s - i, c))
+            total += c
+        for chunk in chunks:
+            weighted = sum(c for *_, c in chunk) <= m  # else one pair, doubled after rounding
+            acc = None
+            for i, j, c in chunk:
+                u, v = i, j if square else ~j
+                a, b = spectrum(u), spectrum(v)
+                done = [spectra.pop(t) for t in {u, v} if last(t) == s]
+                if done:  # the product overwrites a spectrum no later group reads
+                    f = done[0]
+                    f *= b if f is a else a
+                else:
+                    f = a * b
+                del a, b, done
+                if weighted and c != 1:
+                    f *= c
+                if acc is None:
+                    acc = f
+                else:
+                    acc += f
+                del f
+            z = np.fft.irfft(acc, size)[:n]
+            del acc
             r = np.rint(z)
             z -= r
             if np.abs(z, out=z).max() >= 0.25:
-                raise VerificationError(f"FFT product of digits {i} and {j} is off an integer")
+                raise VerificationError(f"FFT sum of digit group {s}, pairs "
+                                        f"{[(i, j) for i, j, _ in chunk]}, is off an integer")
             del z
-            if square and i != j:
+            if not weighted:
                 r *= 2  # d_i d_j + d_j d_i
             carry += r.astype(np.int64)
             del r
@@ -472,12 +535,18 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
     factors = ((scale, power) pairs, s), exactly.
 
     The two longest sparse series multiply in int64; each of the others runs
-    as one shifted-add pass, exact in int64 by the bound max|x| * sum|w| and
-    the weights +-1, both checked before the first pass (ValueError), with
-    ``_PASS_BLOCK`` rows at a time, a block that stays in L2 while every term
-    adds into it.  For s > 0 ``_digits`` splits the product into balanced
-    W-bit digit series, W = ``_digit_bits(n_max)``, that ``_product`` squares
-    s times, and ``_combine`` joins the final digits into exact integers.
+    as one shifted-add pass.  The weights +-1 and the int64 bound of all the
+    passes, max|x| * prod sum|w|, are checked before the first (ValueError).
+    Each pass then runs in the narrowest of int16, int32 and int64 that its
+    own bound max|x| * sum|w| fits, x its input (level 11 to 10^6: int16,
+    then int32), ``_PASS_BLOCK`` rows at a time, and the last one's result is
+    copied back into the product's int64 array, whose pages are already
+    touched.  For s > 0 ``_digits`` splits the product into balanced W-bit
+    digit series, W one bit narrower than ``_digit_bits(n_max)``, so that
+    ``_product`` sums m = ``_group_size(n_max, W)`` ordered products per
+    inverse transform (6 at 7 * 10^4 and at 10^6) where one would fit at the
+    full width; it squares them s times, and ``_combine`` joins the final
+    digits into exact integers.
     """
     pairs, squarings = factors
     first, second, *rest = _sparse_series(pairs, n_max - 1)
@@ -486,15 +555,23 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
         raise ValueError("a shifted-add pass takes weights +-1 only")
     if _peak(value) * prod(int(np.abs(w).sum()) for _, w in rest) >= _INT64:
         raise ValueError(f"n_max = {n_max} too large for exact int64 passes")
-    spare = np.empty_like(value)
+    cur = value
     for series in rest:
-        _shift_pass(value, spare, series)
-        value, spare = spare, value
+        bound = _peak(cur) * int(np.abs(series[1]).sum())
+        cur = cur.astype(next(t for t in (np.int16, np.int32, np.int64)
+                              if bound <= np.iinfo(t).max), copy=False)
+        out = np.empty_like(cur)
+        _shift_pass(cur, out, series)
+        cur = out
+        del out  # the next cast then frees this array before its own output is made
+    if rest:
+        value[:] = cur
+    del cur
     if not squarings:
         return value
-    w = _digit_bits(n_max)
+    w = _digit_bits(n_max) - 1
     digits = _digits(value, w)
-    del value, spare
+    del value
     for _ in range(squarings):
         digits = _product(digits, digits, n_max, w)
     return _combine(digits, w, n_max)
@@ -515,12 +592,13 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
 
     Each eta power splits into Jacobi cubes and pentagonal series, and the two
     longest multiply sparse by sparse.  The level-11 form runs the other two
-    as shifted-add passes, exact in int64, each filling its output 2^16 rows
-    (512 KB) at a time, a block that stays in a per-core L2 cache while all
-    the series' terms add into it.  Delta splits eta^6 into balanced digit
-    series, of a width that a stated error bound sizes, and squares them twice
-    by ``_product``, exact FFT products that a guard on every product checks
-    (VerificationError); the final digits combine into exact integers.
+    as shifted-add passes, each exact in the narrowest integer dtype its bound
+    allows, filling its output 2^16 rows at a time, a block that stays in a
+    per-core L2 cache while all the series' terms add into it.  Delta splits
+    eta^6 into balanced digit series, of a width that a stated error bound
+    sizes, and squares them twice by ``_product``, exact FFT products that a
+    guard on every inverse transform checks (VerificationError); the final
+    digits combine into exact integers.
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError

@@ -126,9 +126,15 @@ def prime_powers(primes: Sequence[int], e: int) -> PrimePowers:
     The pool is checked once, here, so no solve over it pays again: entries
     must ascend strictly and each must be a prime: of the shared sieve
     (``prime_array``) by one vectorised ``searchsorted`` up to ``MAX_SIEVE``,
-    by ``is_prime`` past it; ``ValueError`` otherwise.
+    by ``is_prime`` past it; ``ValueError`` otherwise, and for an entry that
+    int64 does not hold (a prime >= 2^63).
     """
-    ps = np.asarray(primes, dtype=np.int64)
+    try:
+        ps = np.asarray(primes, dtype=np.int64)
+    except OverflowError:
+        big = next(p for p in primes if not -(1 << 63) <= p < 1 << 63)
+        raise ValueError(
+            f"pool entry {big} does not fit int64: pool primes must be below 2^63") from None
     if len(ps):
         down = np.flatnonzero(ps[1:] <= ps[:-1])
         if len(down):

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -174,16 +174,36 @@ def _emitted(values, w):
     return digits
 
 
-def _shift_irfft(monkeypatch, shift):
-    """Push entry 1 of every inverse FFT ``shift`` off its value."""
-    irfft = np.fft.irfft
+def _shift_irfft(monkeypatch, shift, at=None):
+    """Push entry 1 of every inverse FFT, or only of call number ``at``,
+    ``shift`` off its value."""
+    irfft, calls = np.fft.irfft, []
 
     def perturbed(*args):
         x = irfft(*args)
-        x[1] += shift
+        if at in (None, len(calls)):
+            x[1] += shift
+        calls.append(1)
         return x
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
+
+
+def _count_transforms(monkeypatch):
+    """{'rfft': 0, 'irfft': 0}, counting every call of each from here on."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name, transform in [(name, getattr(np.fft, name)) for name in calls]:
+        def counted(*args, name=name, transform=transform):
+            calls[name] += 1
+            return transform(*args)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _route_bits(n):
+    """The digit width of delta's squarings: one bit narrower than ``_digit_bits``."""
+    return coefficients._digit_bits(n) - 1
 
 
 def _assert_balanced(digits, w):
@@ -192,11 +212,12 @@ def _assert_balanced(digits, w):
     assert not digits or digits[-1].any()
 
 
-def _draw_digits(draw, n):
-    """1-4 digit series |d| <= 2^(W-1) of n terms, W = _digit_bits(n), edges included."""
-    half = 1 << (coefficients._digit_bits(n) - 1)
+def _draw_digits(draw, n, w=None, most=4):
+    """1 to ``most`` digit series |d| <= 2^(w-1) of n terms, w = _digit_bits(n)
+    unless given, edges included."""
+    half = 1 << ((w or coefficients._digit_bits(n)) - 1)
     digit = st.one_of(st.sampled_from([-half, half, 0]), st.integers(-half, half))
-    return [draw(arrays(np.int64, n, elements=digit)) for _ in range(draw(st.integers(1, 4)))]
+    return [draw(arrays(np.int64, n, elements=digit)) for _ in range(draw(st.integers(1, most)))]
 
 
 @st.composite
@@ -209,6 +230,14 @@ def _digit_series_pair(draw):
     """Two factors of the same n terms, each with its own count of 1-4 digit series."""
     n = draw(st.integers(min_value=1, max_value=300))
     return _draw_digits(draw, n), _draw_digits(draw, n)
+
+
+@st.composite
+def _route_digit_pair(draw):
+    """Two factors of the same n terms at delta's width, each of 1-8 digit series."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    w = _route_bits(n)
+    return _draw_digits(draw, n, w, 8), _draw_digits(draw, n, w, 8)
 
 
 def _balanced_limbs(values, base):
@@ -304,6 +333,56 @@ class TestSeriesKernel:
         assert at_start and past_end
         assert (max(limbs) > 1) == (headroom is not None)
 
+    def _spy_pass_dtypes(self, monkeypatch):
+        """The (input, output) dtype names of every shifted-add pass from here on."""
+        shift_pass, dtypes = coefficients._shift_pass, []
+
+        def pass_spy(cur, out, series):
+            dtypes.append((cur.dtype.name, out.dtype.name))
+            shift_pass(cur, out, series)
+
+        monkeypatch.setattr(coefficients, "_shift_pass", pass_spy)
+        return dtypes
+
+    def test_level_11_passes_run_in_the_narrowest_dtype(self, monkeypatch):
+        # at 10^6 the first pass's bound is 16 * 493 < 2^15, the second's fits 2^31
+        dtypes = self._spy_pass_dtypes(monkeypatch)
+        factors = coefficients._ETA_FACTORS[coefficients.BUILTIN_11A]
+        values = coefficients._eta_values(factors, 10**6)
+        assert dtypes == [("int16", "int16"), ("int32", "int32")]
+        assert values.dtype == np.int64 and _digest(values) == _F11A_1M_DIGEST
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("peak, dtypes", [
+        ((2**15 - 1) // 4, ["int16", "int32"]),
+        ((2**15 - 1) // 4 + 1, ["int32", "int32"]),
+        ((2**31 - 1) // 16, ["int32", "int32"]),
+        ((2**31 - 1) // 16 + 1, ["int32", "int64"]),
+    ])
+    def test_pass_dtype_follows_its_bound(self, monkeypatch, block, peak, dtypes):
+        # level 11 to n = 60 keeps two passes of the weights 1, -1, -1, 1 at
+        # 0, 11, 22, 55 (sum|w| = 4).  A planted product with max|x| = peak and
+        # its signs on those exponents reaches 4 peak after the first pass, so
+        # each pass's bound lands just below or just past 2^15 or 2^31
+        monkeypatch.setattr(coefficients, "_PASS_BLOCK", block)
+        n, factors = 60, coefficients._ETA_FACTORS[coefficients.BUILTIN_11A]
+        rest = coefficients._sparse_series(factors[0], n - 1)[2:]
+        assert [(e.tolist(), w.tolist()) for e, w in rest] == [
+            ([0, 11, 22, 55], [1, -1, -1, 1])] * 2
+        planted = np.zeros(n, dtype=np.int64)
+        planted[[0, 33, 44, 55]] = [peak, -peak, -peak, peak]
+        monkeypatch.setattr(coefficients, "_sparse_product", lambda f, s, m: planted.copy())
+        stages = [planted.tolist()]
+        for exps, weights in rest:  # the naive expansion, in Python ints
+            terms = list(zip(exps.tolist(), weights.tolist()))
+            stages.append([sum(w * stages[-1][i - e] for e, w in terms if e <= i)
+                           for i in range(n)])
+        assert max(map(abs, stages[1])) == 4 * peak
+        observed = self._spy_pass_dtypes(monkeypatch)
+        values = coefficients._eta_values(factors, n)
+        assert [out for _, out in observed] == dtypes
+        assert values.dtype == np.int64 and values.tolist() == stages[2]
+
     def test_pass_weight_other_than_one_raises(self, monkeypatch):
         # delta's eight Jacobi cubes leave six cube passes, weights 2k + 1: the
         # route refuses them before its first pass, and a pass refuses one alone
@@ -340,7 +419,8 @@ class TestSeriesKernel:
                 return irfft(*args) + 0.3
 
             monkeypatch.setattr(np.fft, "irfft", perturbed)
-            error, message = VerificationError, "FFT product of digits 0 and 0 is off an integer"
+            error = VerificationError
+            message = r"FFT sum of digit group 0, pairs \[\(0, 0\)\], is off an integer"
         else:
             monkeypatch.setattr(coefficients, "_sparse_product",
                                 lambda f, s, n: np.full(n, 1 << 60))
@@ -360,22 +440,19 @@ class TestSeriesKernel:
         _assert_balanced(out, w)
 
     def test_square_keeps_the_spectrum_the_next_pair_shares(self, monkeypatch):
-        # the 10 pairs of 4 digits, i ascending in even digit groups and
-        # descending in odd ones, each share a digit with the next: 10 forward
-        # transforms where every pair computing its own would take 16
-        calls = {"rfft": 0, "irfft": 0}
-        for name, transform in [(name, getattr(np.fft, name)) for name in calls]:
-            def counted(*args, name=name, transform=transform):
-                calls[name] += 1
-                return transform(*args)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        # every spectrum of 4 digits is kept from the first pair that reads it
+        # to the last: 4 forward transforms where a pair computing its own
+        # would take 16.  At delta's width (m = 11 here) each of the 7 digit
+        # groups, at most 4 ordered products, sums into one inverse transform;
+        # at _digit_bits(n) (m = 2) every one of the 10 pairs takes its own
+        calls = _count_transforms(monkeypatch)
         n = 300
-        w = coefficients._digit_bits(n)
         digits = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3, np.full(n, -1)]
-        expected = _naive_square(digits, n, w)
-        assert _recombine(coefficients._product(digits, digits, n, w), w, n).tolist() == expected
-        assert calls == {"rfft": 10, "irfft": 10}
+        for w, irffts in ((_route_bits(n), 7), (coefficients._digit_bits(n), 10)):
+            calls.update(rfft=0, irfft=0)
+            expected = _naive_square(digits, n, w)
+            assert _recombine(coefficients._product(digits, digits, n, w), w, n).tolist() == expected
+            assert calls == {"rfft": 4, "irfft": irffts}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_square_of_the_shortest_series(self, n):
@@ -438,13 +515,7 @@ class TestSeriesKernel:
         # a count step: every digit of a D-digit layer pairs with the one digit
         # of the indicator, whose spectrum is kept for all of them: D + 1
         # forward transforms and D inverse ones
-        calls = {"rfft": 0, "irfft": 0}
-        for name, transform in [(name, getattr(np.fft, name)) for name in calls]:
-            def counted(*args, name=name, transform=transform):
-                calls[name] += 1
-                return transform(*args)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = _count_transforms(monkeypatch)
         n = 300
         w = coefficients._digit_bits(n)
         layer = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3][:digits]
@@ -468,6 +539,48 @@ class TestSeriesKernel:
             assert _recombine(coefficients._product(x, y, 40, w), w, 40).tolist() == (
                 _naive_product(x, y, 40, w))
 
+    def test_grouped_products_match_nested_loops(self, monkeypatch):
+        # at delta's width, up to 8 digits a factor: each square and product
+        # matches the nested loops, and a group of more than m ordered products
+        # splits into two or more inverse transforms (8 digits at n = 50, m = 5)
+        calls, split = _count_transforms(monkeypatch), []
+
+        @settings(max_examples=25, deadline=None)
+        @given(_route_digit_pair())
+        @example(([np.arange(50) % 9 - 4] * 8, [np.full(50, -3)] * 8))
+        def check(factors):
+            x, y = factors
+            n = len(x[0])
+            w = _route_bits(n)
+            for a, b in ((x, x), (x, y)):
+                calls["irfft"] = 0
+                out = coefficients._product(a, b, n, w)
+                assert _recombine(out, w, n).tolist() == _naive_product(a, b, n, w)
+                _assert_balanced(out, w)
+                split.append(calls["irfft"] > len(a) + len(b) - 1)  # more than one per group
+
+        check()
+        assert coefficients._group_size(50, _route_bits(50)) == 5 and any(split)
+
+    @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
+    def test_grouped_guard_at_a_quarter(self, monkeypatch, shift, raises):
+        # the inverse transform of digit group 2, two pairs summed in the
+        # frequency domain, pushed off its integers at one entry
+        w = _route_bits(40)
+        digits = _emitted(np.arange(-20, 20) ** 3 * 2**45, w)
+        assert len(digits) == 4 and coefficients._group_size(40, w) >= 4
+        expected = _naive_square(digits, 40, w)
+        calls = _count_transforms(monkeypatch)
+        _shift_irfft(monkeypatch, shift, at=2)
+        if raises:
+            with pytest.raises(VerificationError,
+                               match=r"digit group 2, pairs \[\(0, 2\), \(1, 1\)\], is off"):
+                coefficients._product(digits, digits, 40, w)
+        else:
+            out = coefficients._product(digits, digits, 40, w)
+            assert _recombine(out, w, 40).tolist() == expected
+            assert calls["irfft"] == 7  # one per digit group
+
     def test_zero_factor_gives_no_digits(self):
         n = 50
         w = coefficients._digit_bits(n)
@@ -490,7 +603,7 @@ class TestSeriesKernel:
         # g = 62 // W digits make one int64 word; up to three words join top
         # first into Python ints, and one word comes back as the int64 array itself
         n = 6
-        w = coefficients._digit_bits(n)
+        w = _route_bits(n)
         g, half = 62 // w, 1 << (w - 1)
         rng = np.random.default_rng(62)
         for count in (g - 1, g, g + 1, 2 * g, 2 * g + 1):
@@ -517,12 +630,22 @@ class TestSeriesKernel:
             assert size == min(L for L in smooth if L >= m) and k == smooth[size]
 
     def test_digit_width_keeps_the_error_bound(self):
-        # n 4^(W-1) (13 k + 3) < 2^51 at W, and not at W + 1
+        # n 4^(W-1) (13 k + 3) < 2^51 at W, and not at W + 1; at W and at
+        # delta's W - 1, n m 4^(w-1) (13 k + 2 + m) < 2^51 at m = _group_size,
+        # and not at m + 1
+        def bound(n, w, m, k):
+            return n * m * 4 ** (w - 1) * (13 * k + 2 + m)
+
         for n in (1, 2, 3, 300, 70_000, 10**6, coefficients.MAX_TABLE):
             w = coefficients._digit_bits(n)
             size, k = coefficients._transform(2 * n - 1)
             assert size >= 2 * n - 1
-            assert n * 4 ** (w - 1) * (13 * k + 3) < 1 << 51 <= n * 4**w * (13 * k + 3)
+            assert bound(n, w, 1, k) < 1 << 51 <= bound(n, w + 1, 1, k)
+            for v in (w, w - 1):
+                m = coefficients._group_size(n, v)
+                assert bound(n, v, m, k) < 1 << 51 <= bound(n, v, m + 1, k)
+        assert [coefficients._group_size(n, _route_bits(n)) for n in (70_000, 10**6)] == [6, 6]
+        assert [_route_bits(n) for n in (70_000, 10**6)] == [13, 11]
 
     def test_tables_pinned_by_digest(self, delta_100k, delta_1m, f11a_1m):
         # recorded from an independent build: one pentagonal pass per unit of power and modulus
@@ -536,8 +659,9 @@ class TestSeriesKernel:
         assert _digest(f11a_1m._values) == _F11A_1M_DIGEST
 
     def test_delta_peak_memory(self):
-        # the shifted-add limb passes this build replaced peaked at 4.73 MiB here;
-        # the squarings keep two spectra alive at a time
+        # the shifted-add limb passes this build replaced peaked at 4.73 MiB here.
+        # The squarings keep every digit's spectrum from its first group to its
+        # last, up to four at once, and sum each group into one of them: 6.84 MiB
         tracemalloc.start()
         try:
             expand_eta_product(DELTA, 70_000)
@@ -545,6 +669,14 @@ class TestSeriesKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 4.73 * 2**20
+
+    def test_delta_transform_count(self, monkeypatch):
+        # eta^6 to 7 * 10^4 is 2 digits at W = 13, eta^12 4: each digit's
+        # spectrum once (2 + 4) and, at m = 6, one inverse transform per digit
+        # group (3 + 7), where one per pair took 12 and 13
+        calls = _count_transforms(monkeypatch)
+        coefficients._eta_values(coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], 70_000)
+        assert calls == {"rfft": 6, "irfft": 10}
 
     def test_peak_memory_is_two_arrays(self):
         n = 2 * 10**5

@@ -397,6 +397,14 @@ class TestFindSolution:
         with pytest.raises(ValueError, match=f"entry {2**31 + 1} is not a prime"):
             prime_powers([3, 2**31 + 1], 1)  # 3 * 715827883
 
+    def test_prepared_pool_refuses_entries_past_int64(self):
+        # the largest prime below 2^63 is 2^63 - 25; from 2^63 on an entry is
+        # refused by the int64 limit it passes, not by a bare OverflowError
+        assert prime_powers([3, 2**63 - 25], 1).primes == [3, 2**63 - 25]
+        for big in (2**63, 2**64 + 13):
+            with pytest.raises(ValueError, match=f"entry {big} does not fit int64: .* below 2\\^63"):
+                prime_powers([3, big], 1)
+
     @pytest.mark.filterwarnings("ignore:Z = ")
     def test_default_pool_refused_before_the_sieve(self):
         # pi(10^9) >= 10^9 / ln 10^9 > 2^23 squares: refused before the sieve
