@@ -7,36 +7,20 @@ each other so they can cross-check:
   builtin form with truncated sparse series: each eta power splits into
   Jacobi cubes and pentagonal-number series and the two longest multiply
   sparse by sparse.  For the level-11 form the rest run as shifted-add
-  passes, each in the narrowest of int16, int32 and int64 that its bound
-  max|x| * sum|w| fits, one block of ``_PASS_BLOCK`` output rows at a time so
-  that the block being written stays in a per-core L2 cache while the input
-  streams past.  Delta is that product eta^6 = (eta^3)^2 squared twice by
-  ``_product``: eta^12, then eta^24.
+  passes (``_shift_pass``), each in the narrowest of int16, int32 and int64
+  that its bound max|x| * sum|w| fits.  Delta is that product eta^6 =
+  (eta^3)^2 squared twice by ``series.square``: eta^12, then eta^24.
 * ``hecke_extend`` rebuilds the full table from prime coefficients alone by
   the one Hecke relation (``_hecke_values``) that ``_spot_check`` and
   ``check_identities`` check: for composite n = p q with p = spf(n),
   a(n) = a(p) a(q) - [p does not divide N, p divides q] p^(2k-1) a(q / p),
   over the ascending blocks of ``spf_blocks``, each reading rows already filled.
 
-All stored coefficients are exact integers.  The sparse product runs in exact
-int64 and every pass in the exact dtype its bound picks.  ``_product``, which
-delta's squarings and the dense count layers of ``waring_goldbach`` share,
-multiplies balanced W-bit digit series, value = sum_i d_i 2^(W i), by real
-FFTs: one forward transform per digit, and the products of each digit group
-summed in the frequency domain, one inverse transform per chunk of at most m
-ordered products.  A stated float64 error bound (``_digit_bits``, with its
-two premises) sizes W and m so that every rounding error stays below 1/4,
-and a guard checks that again on every inverse transform; the rounded sums
-carry into one int64 array that each output digit is taken off, and
-``_combine`` joins digits into int64 words and, past one, into exact Python
-ints.  The size
-checks (``check_identities`` and the loader's Deligne check) compare in
-float64 only as a screen: every entry the screen does not clear is decided in
-exact integers.
-
-Every table stores its values in one ndarray whose dtype the descriptor
-decides: int64 when the coefficient bound 2 * n_max^k fits, object (exact
-Python ints) otherwise.
+All stored coefficients are exact integers: the sparse product runs in exact
+int64, every pass in the exact dtype its bound picks and the squarings in
+``series``, exact FFT products.  The size checks (``check_identities`` and
+the loader's Deligne check) compare in float64 only as a screen: every entry
+the screen does not clear is decided in exact integers.
 """
 
 from __future__ import annotations
@@ -65,6 +49,7 @@ from .primes import (
     smallest_prime_factors,
     spf_blocks,
 )
+from .series import square
 
 BUILTIN_DELTA = "builtin-delta"
 BUILTIN_11A = "builtin-11a"
@@ -354,201 +339,22 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _transform(m: int) -> tuple[int, int]:
-    """The shortest FFT length L = 2^a 3^b 5^c >= m, and k = a + 2 b + 3 c: the
-    radix-2 levels of the length 2^k >= L that pads each radix-3 or radix-5
-    pass to a radix-4 or radix-8 one."""
-    sizes = []
-    for c in range(m.bit_length()):
-        for b in range(m.bit_length()):
-            base = 3**b * 5**c
-            a = (-(-m // base) - 1).bit_length()
-            sizes.append((base << a, a + 2 * b + 3 * c))
-    return min(sizes)
-
-
-def _digit_bits(n: int) -> int:
-    """Width W of the balanced digits |d| <= 2^(W-1) that ``_product`` takes and
-    returns series of n terms in: the largest W with n 4^(W-1) (13 k + 3) <
-    2^51, k from ``_transform(2 n - 1)``, the grouped bound below at m = 1.
-
-    Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the error of the FFT
-    product of x and y of length 2^k by ||x|| ||y|| ((1 + e)^(3k)
-    (1 + sqrt(5) e)^(3k+1) (1 + b)^(3k) - 1) < ||x|| ||y|| e (13 k + 3), with
-    e = 2^-53.  Two premises carry it to the transforms used here; neither is
-    checked in code:
-
-    * the twiddle factors are correct to b <= e: a hypothesis of the theorem,
-      taken to hold for numpy's pocketfft;
-    * a radix-3 or radix-5 pass errs no more than the radix-4 or radix-8 pass
-      that pads it, so a length 2^a 3^b 5^c counts as 2^k, k = a + 2 b + 3 c
-      (``_transform``): the theorem is stated for radix 2, and this count is
-      the module's own.
-
-    A grouped inverse transform takes the sum of the spectra of m ordered
-    products x_t y_t.  Each product's forward transforms and pointwise product
-    err as in the theorem, and the inverse transform errs in proportion to the
-    norm of its input, at most the sum of the products' norms; so those terms
-    add up to e (13 k + 3) sum_t ||x_t|| ||y_t||.  The m - 1 complex
-    additions of the spectra add at most (m - 1) e sum_t ||x_t|| ||y_t||
-    more: the + m of the bound.  Digit series have ||x_t|| ||y_t|| <=
-    n 4^(W-1), so when n m 4^(W-1) (13 k + 2 + m) < 2^51 every rounding error
-    stays below 1/4 and every exact value below 2^51.
-    """
-    _, k = _transform(2 * n - 1)
-    w = 1
-    while n * 4**w * (13 * k + 3) < 1 << 51:
-        w += 1
-    return w
-
-
-def _group_size(n: int, w: int) -> int:
-    """The most ordered digit products m that ``_product`` sums into one inverse
-    transform of series of n terms at width w: the largest m with
-    n m 4^(w-1) (13 k + 2 + m) < 2^51 (``_digit_bits``), and 1 when w is
-    wider than even m = 1 allows."""
-    _, k = _transform(2 * n - 1)
-    m = 1
-    while n * (m + 1) * 4 ** (w - 1) * (13 * k + 3 + m) < 1 << 51:
-        m += 1
-    return m
-
-
-def _emit(carry: np.ndarray, w: int) -> np.ndarray:
-    """Take the balanced low w bits d in [-2^(w-1), 2^(w-1)) off the int64 or
-    object array ``carry`` in place, carry = (carry - d) / 2^w, and return d
-    in the smallest integer dtype that holds it.  Exact for every int64: carry
-    + 2^(w-1) may wrap, but not in its low w bits."""
-    half = 1 << (w - 1)
-    d = carry + half
-    d &= (1 << w) - 1
-    d -= half
-    carry >>= w
-    carry += d < 0  # (carry - d) / 2^w = floor(carry / 2^w) + [d < 0]
-    return d.astype(np.min_scalar_type(-half))
-
-
-def _product(x: list[np.ndarray], y: list[np.ndarray], n: int, w: int) -> list[np.ndarray]:
-    """The exact product, truncated to n terms, of the series sum_i x[i]
-    2^(w i) and sum_j y[j] 2^(w j), each given as digit series |d| <= 2^(w-1)
-    of n terms, w at most ``_digit_bits(n)``; as balanced w-bit digit series,
-    top zero digits dropped, so a zero product is [].  ``y is x`` squares.
-
-    Digit group s, sum_{i+j=s} x_i y_j, takes the pairs (i, j), i <= j in a
-    square, and counts each as one ordered product, or two when a square
-    pair has i != j (d_i d_j + d_j d_i).  Each digit's spectrum is computed
-    once, at the first group that reads it, and freed after the last; the
-    pair that reads a spectrum for the last time multiplies into it in place.
-    The group's products, weighted 1 or 2, sum in the frequency domain, one
-    inverse transform per chunk of at most m = ``_group_size(n, w)`` ordered
-    products; a pair worth more than m (two at m = 1) is its own chunk and
-    doubles after rounding.  A transform more than 1/4 off an integer raises
-    VerificationError naming the group and its pairs; otherwise it rounds
-    into one carried int64 array, and once group s is in, ``_emit`` takes
-    output digit s off the carry.  A rounded chunk is below 2^51, so the
-    carry stays far below 2^63.
-    """
-    size, _ = _transform(2 * n - 1)
-    m = _group_size(n, w)
-    square, top = y is x, len(x) + len(y) - 1
-
-    spectra: dict[int, np.ndarray] = {}  # x_i's under key i, y_j's under ~j (j in a square)
-
-    def last(u: int) -> int:  # the last group that reads spectrum u
-        return u + len(y) - 1 if u >= 0 else ~u + len(x) - 1
-
-    def spectrum(u: int) -> np.ndarray:
-        if u not in spectra:
-            spectra[u] = np.fft.rfft(x[u] if u >= 0 else y[~u], size)
-        return spectra[u]
-
-    carry, out = np.zeros(n, dtype=np.int64), []
-    while len(out) < top or carry.any():
-        s = len(out)
-        chunks, total = [], m  # as if full, so that the first pair opens a chunk
-        for i in range(max(0, s - len(y) + 1), min(s // 2 if square else s, len(x) - 1) + 1):
-            c = 2 if square and 2 * i != s else 1
-            if total + c > m:
-                chunks.append([])
-                total = 0
-            chunks[-1].append((i, s - i, c))
-            total += c
-        for chunk in chunks:
-            weighted = sum(c for *_, c in chunk) <= m  # else one pair, doubled after rounding
-            acc = None
-            for i, j, c in chunk:
-                u, v = i, j if square else ~j
-                a, b = spectrum(u), spectrum(v)
-                done = [spectra.pop(t) for t in {u, v} if last(t) == s]
-                if done:  # the product overwrites a spectrum no later group reads
-                    f = done[0]
-                    f *= b if f is a else a
-                else:
-                    f = a * b
-                del a, b, done
-                if weighted and c != 1:
-                    f *= c
-                if acc is None:
-                    acc = f
-                else:
-                    acc += f
-                del f
-            z = np.fft.irfft(acc, size)[:n]
-            del acc
-            r = np.rint(z)
-            z -= r
-            if np.abs(z, out=z).max() >= 0.25:
-                raise VerificationError(f"FFT sum of digit group {s}, pairs "
-                                        f"{[(i, j) for i, j, _ in chunk]}, is off an integer")
-            del z
-            if not weighted:
-                r *= 2  # d_i d_j + d_j d_i
-            carry += r.astype(np.int64)
-            del r
-        out.append(_emit(carry, w))
-    while out and not out[-1].any():
-        out.pop()
-    return out
-
-
-def _digits(value: np.ndarray, w: int) -> list[np.ndarray]:
-    """The digits ``_emit`` takes off the int64 or object ``value``, in place, until it is 0."""
-    return [_emit(value, w) for _ in iter(value.any, False)]
-
-
-def _combine(digits: list[np.ndarray], w: int, n: int) -> np.ndarray:
-    """The n exact integers sum_i digits[i] 2^(w i): int64 words of 62 // w digits,
-    |word| < 2^62, joined top word first into exact Python ints past one word."""
-    g = 62 // w  # digits per word
-    words = [sum(d.astype(np.int64) << (w * t) for t, d in enumerate(digits[i:i + g]))
-             for i in range(0, len(digits), g)] or [np.zeros(n, dtype=np.int64)]
-    value = words.pop()
-    while words:
-        value = value.astype(object, copy=False)
-        value <<= g * w
-        value += words.pop()
-    return value
-
-
 def _eta_values(factors, n_max: int) -> np.ndarray:
     """Coefficients 1..n_max of q * (prod (1 - q^(scale*n))^power)^(2^s) for
-    factors = ((scale, power) pairs, s), exactly.
+    factors = ((scale, power) pairs, s), exactly; for s > 0 the values at s = 0
+    go whole to ``series.square``, which frees them once they are digits.
 
-    The two longest sparse series multiply in int64; each of the others runs
-    as one shifted-add pass.  The weights +-1 and the int64 bound of all the
-    passes, max|x| * prod sum|w|, are checked before the first (ValueError).
-    Each pass then runs in the narrowest of int16, int32 and int64 that its
-    own bound max|x| * sum|w| fits, x its input (level 11 to 10^6: int16,
-    then int32), ``_PASS_BLOCK`` rows at a time, and the last one's result is
-    copied back into the product's int64 array, whose pages are already
-    touched.  For s > 0 ``_digits`` splits the product into balanced W-bit
-    digit series, W one bit narrower than ``_digit_bits(n_max)``, so that
-    ``_product`` sums m = ``_group_size(n_max, W)`` ordered products per
-    inverse transform (6 at 7 * 10^4 and at 10^6) where one would fit at the
-    full width; it squares them s times, and ``_combine`` joins the final
-    digits into exact integers.
+    The two longest sparse series multiply in int64, each of the others as one
+    shifted-add pass.  The weights +-1 and the int64 bound of all the passes,
+    max|x| * prod sum|w|, are checked before the first (ValueError).  Each
+    pass runs in the narrowest of int16, int32 and int64 that its own bound
+    max|x| * sum|w| fits, x its input (level 11 to 10^6: int16, then int32),
+    and the last one's result is copied back into the product's int64 array,
+    whose pages are already touched.
     """
     pairs, squarings = factors
+    if squarings:
+        return square(_eta_values((pairs, 0), n_max), n_max, squarings)
     first, second, *rest = _sparse_series(pairs, n_max - 1)
     value = _sparse_product(first, second, n_max)
     if not all(np.isin(w, (1, -1)).all() for _, w in rest):
@@ -566,15 +372,7 @@ def _eta_values(factors, n_max: int) -> np.ndarray:
         del out  # the next cast then frees this array before its own output is made
     if rest:
         value[:] = cur
-    del cur
-    if not squarings:
-        return value
-    w = _digit_bits(n_max) - 1
-    digits = _digits(value, w)
-    del value
-    for _ in range(squarings):
-        digits = _product(digits, digits, n_max, w)
-    return _combine(digits, w, n_max)
+    return value
 
 
 def _check_table_size(n_max: int) -> None:
@@ -593,12 +391,8 @@ def expand_eta_product(descriptor: NewformDescriptor, n_max: int) -> CoeffTable:
     Each eta power splits into Jacobi cubes and pentagonal series, and the two
     longest multiply sparse by sparse.  The level-11 form runs the other two
     as shifted-add passes, each exact in the narrowest integer dtype its bound
-    allows, filling its output 2^16 rows at a time, a block that stays in a
-    per-core L2 cache while all the series' terms add into it.  Delta splits
-    eta^6 into balanced digit series, of a width that a stated error bound
-    sizes, and squares them twice by ``_product``, exact FFT products that a
-    guard on every inverse transform checks (VerificationError); the final
-    digits combine into exact integers.
+    allows; delta squares eta^6 twice by ``series.square``, exact FFT products
+    that a guard on every inverse transform checks (VerificationError).
 
     Rejects non-builtin sources (load the prime table and use hecke_extend
     instead) and n_max < 1; n_max > ``MAX_TABLE`` raises MemoryGuardError

@@ -1,18 +1,12 @@
 """Sums of prime powers: local constants, exact counts, solutions, and the
 truncated singular series with its main-term companion.
 
-Counting meets in the middle over ordered tuples: the layer T_j[v] holds the
-number of ordered j-tuples of allowed prime e-th powers summing to v, and the
-ordered representation count is sum_v T_ceil(s/2)[Z - v] * T_floor(s/2)[v],
-one dot product of the two half layers.  Every layer is held as its support,
-the distinct sums <= Z with their counts: a step takes pair sums while the
-pair list is no longer than Z + 1, and past that one exact FFT product
-(``coefficients._product``) with the indicator of the allowed powers.  Eight
-cubes never allocate an array of Z + 1 cells; Goldbach-type counts (e = 1
-over every prime) take the product from the first step, since pi(Z)^2 > Z + 1
-from Z = 5 on.  Pair sums and the dot product escalate from int64 to exact
-Python integers if a bound check finds int64 headroom too small; the
-product's digits hold any count.  The singular series runs its exponential
+Counting meets in the middle over ordered tuples (``count_representations``):
+every layer is held as its support, and a step too dense for pair sums takes
+one exact FFT product (``series.product``) with the indicator of the allowed
+powers.  Eight cubes never allocate an array of Z + 1 cells; Goldbach-type
+counts (e = 1 over every prime) take the product from the first step, since
+pi(Z)^2 > Z + 1 from Z = 5 on.  The singular series runs its exponential
 sums only at prime powers q = p^m, with exact integer residue arithmetic on
 arrays (counting power residues, then one FFT of length q); every composite q
 takes the product of its prime-power local factors, since the q-term is
@@ -35,11 +29,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import _combine, _digit_bits, _digits, _product
 from .errors import MemoryGuardError, VerificationError
 from .primes import (
     MAX_SIEVE, integer_nth_root, is_prime, prime_array, primes_up_to, smallest_prime_factors,
 )
+from .series import product
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_QMAX = 1000
@@ -199,10 +193,10 @@ def count_representations(
     support, the ascending sums <= Z with their counts.  A step with at most
     Z + 1 pairs (support x powers) takes pair sums (``_pair_sums``); a longer
     one multiplies the layer, spread over Z + 1 cells, by the indicator of the
-    powers (``coefficients._product``).  Pair sums and the dot run in int64
-    only while a bound check shows that nothing can pass ``_INT64_GUARD``,
-    else in exact Python integers (the dot one block of cells at a time), so
-    the count is exact for every s and Z.
+    powers (``series.product``, exact for any count).  Pair sums and the dot
+    run in int64 only while a bound check shows that nothing can pass
+    ``_INT64_GUARD``, else in exact Python integers (the dot one block of
+    cells at a time), so the count is exact for every s and Z.
     An allocation of more than ``_MAX_DP_CELLS`` cells (T_1's n powers, a
     pair-sum step's pairs, a product step's Z + 1 cells) raises
     ``MemoryGuardError`` before it is made, the default pool's T_1 before the
@@ -233,11 +227,7 @@ def count_representations(
             keys, T = _pair_sums(keys, T, w, Z)
         else:  # spread over Z + 1 cells, times the indicator of the powers
             _check_cells(Z + 1, f"the product step to T_{j}")
-            layer, ind = np.zeros(Z + 1, T.dtype), np.zeros(Z + 1, np.int8)
-            layer[keys], ind[w] = T, 1
-            bits = _digit_bits(Z + 1)
-            layer = _digits(layer, bits)  # its digit series; the cells go
-            T = _combine(_product(layer, [ind], Z + 1, bits), bits, Z + 1)
+            T = product(_spread(keys, T, Z + 1), _spread(w, np.ones(n, np.int8), Z + 1), Z + 1)
             keys = np.flatnonzero(T)
             T = T[keys]
         if not len(keys):  # no j-tuple fits under Z
@@ -252,6 +242,13 @@ def count_representations(
     if T.dtype == object or int(T.max()) * min(n**lo, int(lo_T.max()) * len(lo_T)) > _INT64_GUARD:
         return _exact_dot(hi, lo_v)
     return int(np.dot(hi, lo_v))
+
+
+def _spread(keys: np.ndarray, values: np.ndarray, cells: int) -> np.ndarray:
+    """``cells`` zeros in values' dtype, values at keys: ``product`` frees it once in digits."""
+    out = np.zeros(cells, values.dtype)
+    out[keys] = values
+    return out
 
 
 def _sieve_cut(root: int, what: str) -> np.ndarray:

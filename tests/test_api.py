@@ -2,12 +2,14 @@
 each takes exactly the parameters a caller outside the tests sets.  A removed
 parameter cannot come back unnoticed."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
 import newform_basis as nb
-from newform_basis import admissible, coefficients, decomposer, primes, waring_goldbach
+from newform_basis import admissible, coefficients, decomposer, primes, series, waring_goldbach
 
 
 def parameters(fn) -> list[str]:
@@ -43,11 +45,13 @@ def parameters(fn) -> list[str]:
     (waring_goldbach._pair_sums, ["keys", "T", "w", "Z"]),
     (primes.spf_blocks, ["spf"]),
     (primes.divisor_counts, ["spf"]),
-    (coefficients._product, ["x", "y", "n", "w"]),
+    (series._product, ["x", "y", "n", "w", "m", "size"]),
     (decomposer._self_meet, ["sums", "firsts", "Z"]),
     (decomposer.SearchDecomposer._first, ["self", "s", "r", "K", "start"]),
     (waring_goldbach._exact_dot, ["x", "y"]),
     (decomposer.SearchDecomposer._rows, ["self", "h1", "h2", "Z", "width"]),
+    (series.product, ["x", "y", "n"]),
+    (series.square, ["x", "n", "times"]),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_entry_point_parameters(fn, expected):
     assert parameters(fn) == expected
@@ -74,6 +78,23 @@ def test_square_is_gone():
     # delta's squarings and the dense count layers share one exact FFT product,
     # and a count holds every layer as its support
     assert not hasattr(coefficients, "_square")
+
+
+def test_series_kernel_is_gone_from_coefficients():
+    # the digit format, the width rule and the FFT product live in series alone
+    for name in ("_product", "_digits", "_combine", "_digit_bits", "_group_size", "_emit",
+                 "_transform"):
+        assert not hasattr(coefficients, name)
+
+
+def test_no_module_imports_a_private_name():
+    # a module reaches a sibling through its public names only
+    for path in Path(nb.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("newform_basis")):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"
 
 
 def test_self_splits_is_gone():

@@ -26,7 +26,7 @@ from newform_basis import (
     load_newform,
     save_prime_table,
 )
-from newform_basis import coefficients, primes
+from newform_basis import coefficients, primes, series
 from newform_basis.primes import primes_up_to
 
 
@@ -101,7 +101,8 @@ class TestEtaExpansion:
 
         def tampered(factors, n_max):
             values = eta_values(factors, n_max)
-            values[n - 1] += 1
+            if factors == coefficients._ETA_FACTORS[descriptor.source]:  # not delta's eta^6
+                values[n - 1] += 1
             return values
 
         monkeypatch.setattr(coefficients, "_eta_values", tampered)
@@ -170,7 +171,7 @@ def _emitted(values, w):
     until nothing is left."""
     carry, digits = np.array(values, dtype=np.int64), []
     while carry.any():
-        digits.append(coefficients._emit(carry, w))
+        digits.append(series._emit(carry, w))
     return digits
 
 
@@ -201,9 +202,24 @@ def _count_transforms(monkeypatch):
     return calls
 
 
+def _bits(n):
+    """``series._digit_bits`` of n terms, the width of a product."""
+    return series._digit_bits(n, series._transform(2 * n - 1)[1])
+
+
 def _route_bits(n):
-    """The digit width of delta's squarings: one bit narrower than ``_digit_bits``."""
-    return coefficients._digit_bits(n) - 1
+    """The digit width of delta's squarings, by ``series._plan``'s rule for a square."""
+    return series._plan(n, square=True)[0]
+
+
+def _group(n, w):
+    return series._group_size(n, w, series._transform(2 * n - 1)[1])
+
+
+def _product(x, y, n, w):
+    """``series._product`` of n-term digit series at width w, with the group
+    size and FFT length that w and n give."""
+    return series._product(x, y, n, w, _group(n, w), series._transform(2 * n - 1)[0])
 
 
 def _assert_balanced(digits, w):
@@ -215,14 +231,16 @@ def _assert_balanced(digits, w):
 def _draw_digits(draw, n, w=None, most=4):
     """1 to ``most`` digit series |d| <= 2^(w-1) of n terms, w = _digit_bits(n)
     unless given, edges included."""
-    half = 1 << ((w or coefficients._digit_bits(n)) - 1)
+    half = 1 << ((w or _bits(n)) - 1)
     digit = st.one_of(st.sampled_from([-half, half, 0]), st.integers(-half, half))
     return [draw(arrays(np.int64, n, elements=digit)) for _ in range(draw(st.integers(1, most)))]
 
 
 @st.composite
 def _digit_series(draw):
-    return _draw_digits(draw, draw(st.integers(min_value=1, max_value=300)))
+    """1-4 digit series of the same n terms at the width of a square."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    return _draw_digits(draw, n, _route_bits(n))
 
 
 @st.composite
@@ -433,9 +451,9 @@ class TestSeriesKernel:
     @given(_digit_series())
     def test_square_matches_nested_loops(self, digits):
         n = len(digits[0])
-        w = coefficients._digit_bits(n)
+        w = _route_bits(n)
         expected = _naive_square(digits, n, w)
-        out = coefficients._product(digits, digits, n, w)
+        out = _product(digits, digits, n, w)
         assert _recombine(out, w, n).tolist() == expected
         _assert_balanced(out, w)
 
@@ -448,29 +466,29 @@ class TestSeriesKernel:
         calls = _count_transforms(monkeypatch)
         n = 300
         digits = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3, np.full(n, -1)]
-        for w, irffts in ((_route_bits(n), 7), (coefficients._digit_bits(n), 10)):
+        for w, irffts in ((_route_bits(n), 7), (_bits(n), 10)):
             calls.update(rfft=0, irfft=0)
             expected = _naive_square(digits, n, w)
-            assert _recombine(coefficients._product(digits, digits, n, w), w, n).tolist() == expected
+            assert _recombine(_product(digits, digits, n, w), w, n).tolist() == expected
             assert calls == {"rfft": 4, "irfft": irffts}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_square_of_the_shortest_series(self, n):
-        w = coefficients._digit_bits(n)
+        w = _route_bits(n)
         half = 1 << (w - 1)
         digits = [np.array([-half, half, 3][:n]), np.array([7, -1, -half][:n]),
                   np.array([half, half, half][:n])]
         expected = _naive_square(digits, n, w)
-        out = coefficients._product(digits, digits, n, w)
+        out = _product(digits, digits, n, w)
         assert _recombine(out, w, n).tolist() == expected
         _assert_balanced(out, w)
 
     def test_square_of_the_zero_series(self, monkeypatch):
-        w = coefficients._digit_bits(50)
+        w = _bits(50)
         zero = [np.zeros(50, dtype=np.int64)] * 2
-        assert coefficients._product(zero, zero, 50, w) == []
+        assert _product(zero, zero, 50, w) == []
         # the combine of no digits is the zero table, in int64
-        monkeypatch.setattr(coefficients, "_product", lambda x, y, n, w: [])
+        monkeypatch.setattr(series, "_product", lambda *args: [])
         values = coefficients._eta_values(coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], 50)
         assert values.dtype == np.int64 and values.tolist() == [0] * 50
 
@@ -480,33 +498,33 @@ class TestSeriesKernel:
         # narrower, and at one bit past it the rounding errors stay near 10^-3
         n = 300
         w = max(w for w in range(1, 30) if n * 4 ** (w - 1) < 1 << 53) + 1
-        assert w > coefficients._digit_bits(n)
+        assert w > _bits(n)
         rng = np.random.default_rng(3)
         digits = [rng.integers(-(1 << (w - 1)), 1 << (w - 1), size=n) for _ in range(6)]
         with pytest.raises(VerificationError, match="is off an integer"):
-            coefficients._product(digits, digits, n, w)
+            _product(digits, digits, n, w)
 
     @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
     def test_square_guard_at_a_quarter(self, monkeypatch, shift, raises):
         # one entry of every FFT product pushed off its integer: below 1/4 it
         # still rounds to the exact square, from 1/4 on the guard refuses it
         _shift_irfft(monkeypatch, shift)
-        w = coefficients._digit_bits(40)
+        w = _bits(40)
         digits = _emitted(np.arange(-20, 20) * 123457, w)
         expected = _naive_square(digits, 40, w)
         if raises:
             with pytest.raises(VerificationError, match="is off an integer"):
-                coefficients._product(digits, digits, 40, w)
+                _product(digits, digits, 40, w)
         else:
-            assert _recombine(coefficients._product(digits, digits, 40, w), w, 40).tolist() == expected
+            assert _recombine(_product(digits, digits, 40, w), w, 40).tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(_digit_series_pair())
     def test_product_matches_nested_loops(self, factors):
         x, y = factors
         n = len(x[0])
-        w = coefficients._digit_bits(n)
-        out = coefficients._product(x, y, n, w)
+        w = _bits(n)
+        out = _product(x, y, n, w)
         assert _recombine(out, w, n).tolist() == _naive_product(x, y, n, w)
         _assert_balanced(out, w)
 
@@ -517,10 +535,10 @@ class TestSeriesKernel:
         # forward transforms and D inverse ones
         calls = _count_transforms(monkeypatch)
         n = 300
-        w = coefficients._digit_bits(n)
+        w = _bits(n)
         layer = [np.arange(n) % 5 - 2, np.full(n, 7), np.arange(n) % 3][:digits]
         indicator = [(np.arange(n) % 7 == 3).astype(np.int8)]
-        out = coefficients._product(layer, indicator, n, w)
+        out = _product(layer, indicator, n, w)
         assert _recombine(out, w, n).tolist() == _naive_product(layer, indicator, n, w)
         assert calls == {"rfft": digits + 1, "irfft": digits}
 
@@ -528,15 +546,15 @@ class TestSeriesKernel:
     def test_product_guard_at_a_quarter(self, monkeypatch, shift, raises):
         # the square's guard on two different factors of 2 and 3 digits
         _shift_irfft(monkeypatch, shift)
-        w = coefficients._digit_bits(40)
+        w = _bits(40)
         x = _emitted(np.arange(-20, 20) * 123457, w)
         y = _emitted(np.arange(40) ** 11 - 7, w)
         assert (len(x), len(y)) == (2, 3)
         if raises:
             with pytest.raises(VerificationError, match="is off an integer"):
-                coefficients._product(x, y, 40, w)
+                _product(x, y, 40, w)
         else:
-            assert _recombine(coefficients._product(x, y, 40, w), w, 40).tolist() == (
+            assert _recombine(_product(x, y, 40, w), w, 40).tolist() == (
                 _naive_product(x, y, 40, w))
 
     def test_grouped_products_match_nested_loops(self, monkeypatch):
@@ -554,13 +572,13 @@ class TestSeriesKernel:
             w = _route_bits(n)
             for a, b in ((x, x), (x, y)):
                 calls["irfft"] = 0
-                out = coefficients._product(a, b, n, w)
+                out = _product(a, b, n, w)
                 assert _recombine(out, w, n).tolist() == _naive_product(a, b, n, w)
                 _assert_balanced(out, w)
                 split.append(calls["irfft"] > len(a) + len(b) - 1)  # more than one per group
 
         check()
-        assert coefficients._group_size(50, _route_bits(50)) == 5 and any(split)
+        assert _group(50, _route_bits(50)) == 5 and any(split)
 
     @pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True)])
     def test_grouped_guard_at_a_quarter(self, monkeypatch, shift, raises):
@@ -568,27 +586,27 @@ class TestSeriesKernel:
         # frequency domain, pushed off its integers at one entry
         w = _route_bits(40)
         digits = _emitted(np.arange(-20, 20) ** 3 * 2**45, w)
-        assert len(digits) == 4 and coefficients._group_size(40, w) >= 4
+        assert len(digits) == 4 and _group(40, w) >= 4
         expected = _naive_square(digits, 40, w)
         calls = _count_transforms(monkeypatch)
         _shift_irfft(monkeypatch, shift, at=2)
         if raises:
             with pytest.raises(VerificationError,
                                match=r"digit group 2, pairs \[\(0, 2\), \(1, 1\)\], is off"):
-                coefficients._product(digits, digits, 40, w)
+                _product(digits, digits, 40, w)
         else:
-            out = coefficients._product(digits, digits, 40, w)
+            out = _product(digits, digits, 40, w)
             assert _recombine(out, w, 40).tolist() == expected
             assert calls["irfft"] == 7  # one per digit group
 
     def test_zero_factor_gives_no_digits(self):
         n = 50
-        w = coefficients._digit_bits(n)
+        w = _bits(n)
         y = _emitted(np.arange(n) ** 3 - 25, w)
         zero = [np.zeros(n, dtype=np.int64)]
         for x in (zero, []):
-            assert coefficients._product(x, y, n, w) == []
-            assert coefficients._product(y, x, n, w) == []
+            assert _product(x, y, n, w) == []
+            assert _product(y, x, n, w) == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([-_INT64_MAX - 1, _INT64_MAX, -1, 0]),
@@ -616,7 +634,7 @@ class TestSeriesKernel:
             negative = -rng.integers(0, half + 1, size=(count, n))
             negative[-1] = -half  # an all-negative series
             for digits in (list(mixed), list(negative)):
-                monkeypatch.setattr(coefficients, "_product", lambda x, y, m, v, digits=digits: digits)
+                monkeypatch.setattr(series, "_product", lambda *args, digits=digits: digits)
                 values = coefficients._eta_values(
                     coefficients._ETA_FACTORS[coefficients.BUILTIN_DELTA], n)
                 assert values.dtype == (np.int64 if count <= g else object)
@@ -626,25 +644,26 @@ class TestSeriesKernel:
         smooth = {2**a * 3**b * 5**c: a + 2 * b + 3 * c
                   for a in range(13) for b in range(8) for c in range(6)}
         for m in range(1, 3000):
-            size, k = coefficients._transform(m)
+            size, k = series._transform(m)
             assert size == min(L for L in smooth if L >= m) and k == smooth[size]
 
     def test_digit_width_keeps_the_error_bound(self):
         # n 4^(W-1) (13 k + 3) < 2^51 at W, and not at W + 1; at W and at
         # delta's W - 1, n m 4^(w-1) (13 k + 2 + m) < 2^51 at m = _group_size,
-        # and not at m + 1
+        # and not at m + 1.  The plan takes W for a product, W - 1 for a square
         def bound(n, w, m, k):
             return n * m * 4 ** (w - 1) * (13 * k + 2 + m)
 
         for n in (1, 2, 3, 300, 70_000, 10**6, coefficients.MAX_TABLE):
-            w = coefficients._digit_bits(n)
-            size, k = coefficients._transform(2 * n - 1)
+            w = _bits(n)
+            size, k = series._transform(2 * n - 1)
             assert size >= 2 * n - 1
             assert bound(n, w, 1, k) < 1 << 51 <= bound(n, w + 1, 1, k)
+            assert [series._plan(n, square)[0] for square in (False, True)] == [w, w - 1]
             for v in (w, w - 1):
-                m = coefficients._group_size(n, v)
+                m = _group(n, v)
                 assert bound(n, v, m, k) < 1 << 51 <= bound(n, v, m + 1, k)
-        assert [coefficients._group_size(n, _route_bits(n)) for n in (70_000, 10**6)] == [6, 6]
+        assert [_group(n, _route_bits(n)) for n in (70_000, 10**6)] == [6, 6]
         assert [_route_bits(n) for n in (70_000, 10**6)] == [13, 11]
 
     def test_tables_pinned_by_digest(self, delta_100k, delta_1m, f11a_1m):
